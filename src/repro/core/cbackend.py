@@ -68,6 +68,7 @@ from repro.core.plan import (
     Term,
     ViewTerm,
 )
+from repro.core.runtime import prepared_binding
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
@@ -549,27 +550,33 @@ class CCompiledGroup:
         self.fn = None  # bound by CBackendLibrary.load
 
     # ------------------------------------------------------------- marshaling
-    def prepare_bindings(self, view_data, view_group_by) -> dict:
+    def prepare_bindings(self, view_data, view_group_by, memo=None) -> dict:
         """Entry arrays for every binding, marshalled once per group.
 
         Partitioned execution shares the returned dict (read-only numpy
         arrays — the generated C takes them as ``const``) across all
         concurrent per-partition calls; only the hash-table scratch buffers
         are per-call, which keeps the generated functions reentrant.
+        ``memo`` (a :class:`repro.core.runtime.BindingMemo`) reuses the
+        arrays of views an earlier run of this group already marshalled.
         """
-        return {
-            binding.view: self._binding_entries(binding, view_data, view_group_by)
-            for binding in self.plan.bindings
-        }
+        entries = {}
+        for binding in self.plan.bindings:
+            data = view_data[binding.view]
+            group_by = view_group_by[binding.view]
+            entries[binding.view] = prepared_binding(
+                memo, "c", binding.view, data,
+                lambda b=binding, g=group_by, d=data: self._binding_entries(b, g, d),
+            )
+        return entries
 
-    def _binding_entries(self, binding, view_data, view_group_by):
+    @staticmethod
+    def _binding_entries(binding, group_by, data):
         """Entry arrays for one binding: key part cols, carried cols, aggs.
 
         Carried bindings are sorted by their local key so the generated
         prologue can hash distinct keys to contiguous ranges.
         """
-        data = view_data[binding.view]
-        group_by = view_group_by[binding.view]
         m = len(data)
         key_positions = [group_by.index(a) for a in binding.key]
         carried_positions = [group_by.index(a) for a in binding.carried]

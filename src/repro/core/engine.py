@@ -971,6 +971,7 @@ class LMFAO:
         functions: dict[str, Function],
         snapshot: Snapshot | None = None,
         shared: tuple[Predicate, ...] = (),
+        memo=None,
     ) -> dict[str, dict]:
         """One group over pre-partitioned tries — the single offload point.
 
@@ -983,6 +984,8 @@ class LMFAO:
         through here, so the two always take the same path per plan and the
         merged float association is identical — a maintained rescan stays
         bit-identical to a from-scratch run under the same config.
+        ``memo`` (a :class:`~repro.core.runtime.BindingMemo`) lets the
+        maintainer reuse in-process binding preparation across rounds.
         """
         from repro.core import mpexec
 
@@ -1026,6 +1029,7 @@ class LMFAO:
             view_data,
             view_group_by,
             functions,
+            memo,
         )
 
     def _run_parallel(

@@ -102,6 +102,7 @@ from repro.core.runtime import (
     _product_column,
     _product_signature,
     debug_checks_enabled,
+    prepared_binding,
 )
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
@@ -1080,6 +1081,7 @@ class NumpyCompiledGroup:
         self,
         view_data: Mapping[str, dict],
         view_group_by: Mapping[str, tuple[str, ...]],
+        memo=None,
     ) -> dict[str, object]:
         """Marshal every incoming view into a probe table, once per group.
 
@@ -1087,7 +1089,9 @@ class NumpyCompiledGroup:
         entry-list tables. Tables are read-only and shared across
         concurrent per-partition executions. ``ArrayViewData`` inputs
         (produced by upstream NumPy groups) skip the dict-to-array
-        conversion entirely.
+        conversion entirely. ``memo`` (a
+        :class:`repro.core.runtime.BindingMemo`) reuses the tables of
+        views an earlier run of this group already built.
         """
         tables: dict[str, object] = {}
         for binding in self.plan.bindings:
@@ -1095,8 +1099,10 @@ class NumpyCompiledGroup:
             if data is None:
                 raise PlanError(f"missing incoming view data for {binding.view}")
             table_cls = _CarriedTable if binding.is_carried else _BindingTable
-            tables[binding.view] = table_cls(
-                binding, view_group_by[binding.view], data
+            group_by = view_group_by[binding.view]
+            tables[binding.view] = prepared_binding(
+                memo, "numpy", binding.view, data,
+                lambda c=table_cls, b=binding, g=group_by, d=data: c(b, g, d),
             )
         return tables
 

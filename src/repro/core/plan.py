@@ -436,6 +436,41 @@ class MultiOutputPlan:
         """
         return tuple(b.view for b in self.bindings)
 
+    def emission_views(self, emission: Emission) -> frozenset[str]:
+        """The incoming views whose aggregates or entries ``emission`` reads.
+
+        Walks every slot's γ chain, β chain and support chain for view
+        terms, plus the carried blocks its keys and factors iterate. This
+        is the per-artifact slice of :attr:`consumed_views`: each emitted
+        slot is a sum of products with one factor per view named here, so
+        it is linear in each of them on its own. (The group's other
+        bindings can still gate it: a probe miss skips the loop subtree
+        below the probe for all emissions.)
+        """
+        gammas = {node.id: node for node in self.gammas}
+        betas = {node.id: node for node in self.betas}
+        views: set[str] = set()
+
+        def read(terms) -> None:
+            views.update(
+                t.view for t in terms if isinstance(t, (ViewTerm, SubSumTerm))
+            )
+
+        for slot in emission.slots:
+            gamma = slot.gamma
+            while gamma is not None:
+                read(gammas[gamma].terms)
+                gamma = gammas[gamma].parent
+            for beta in (slot.beta, slot.support):
+                while beta is not None:
+                    read(betas[beta].terms)
+                    beta = betas[beta].child
+            for block in slot.key_blocks:
+                views.add(self.block_binding(block).view)
+            for factor in slot.carried_factors:
+                views.add(self.block_binding(factor.block).view)
+        return frozenset(views)
+
     @property
     def produced_views(self) -> tuple[str, ...]:
         """Names of the views this plan emits (its delta outputs)."""

@@ -24,6 +24,7 @@ for accumulating emissions, disjoint concatenation for aligned ones.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -209,37 +210,107 @@ def reshape_binding(binding: ViewBinding, view_group_by: tuple[str, ...], data: 
             reshaped[new_key[0] if len(new_key) == 1 else new_key] = aggs
         return reshaped
 
-    key_positions = [view_group_by.index(a) for a in binding.key]
+    # A carried view's group-by holds its key and its carried attributes,
+    # so its keys are always tuples. itemgetter yields the local key in the
+    # binding convention (a scalar for one attribute, else a tuple); the
+    # carried values are always a tuple.
+    local_of = itemgetter(*(view_group_by.index(a) for a in binding.key))
     carried_positions = [view_group_by.index(a) for a in binding.carried]
+    if len(carried_positions) == 1:
+        carried_of = itemgetter(slice(carried_positions[0], carried_positions[0] + 1))
+    else:
+        carried_of = itemgetter(*carried_positions)
     grouped: dict = {}
     for key, aggs in data.items():
-        full = key if isinstance(key, tuple) else (key,)
-        local = tuple(full[p] for p in key_positions)
-        local_key = local[0] if len(local) == 1 else local
-        carried_vals = tuple(full[p] for p in carried_positions)
-        grouped.setdefault(local_key, []).append((carried_vals, aggs))
+        entry = (carried_of(key), aggs)
+        entries = grouped.get(local_of(key))
+        if entries is None:
+            grouped[local_of(key)] = [entry]
+        else:
+            entries.append(entry)
     return grouped
+
+
+class BindingMemo:
+    """Backend-prepared incoming-view bindings of one group, across runs.
+
+    A maintained handle re-runs the same groups round after round while
+    most of their incoming views stay untouched. Marshalling such a view
+    (the Python backend's reshaped dict, the C backend's entry arrays, the
+    NumPy backend's probe table) is pure work on the view's contents, so
+    ``forms`` — a dict the handle keeps per group and hands to every run
+    of that group — maps ``(backend, view)`` to the prepared form together
+    with the view object it was prepared from. A form is handed out again
+    only while the run binds **that very object** (an identity check —
+    never ``id()``: the entry holds its source alive, so a match cannot be
+    a recycled address). Every maintainer artifact is copy-on-write, so an
+    unchanged object means unchanged contents.
+
+    Views listed as ``transient`` (bound to a freshly computed Δ in this
+    run) are prepared every time and never stored. Only forms of the
+    object a view is bound to now are kept: a transient view drops its
+    entries (its contents are being replaced), and a fresh preparation
+    drops the view's entries for other backends made from an older
+    object — so a superseded view is released by its consumer's next run.
+    """
+
+    __slots__ = ("_forms", "_transient")
+
+    def __init__(self, forms: dict, transient=frozenset()) -> None:
+        self._forms = forms
+        self._transient = frozenset(transient)
+
+    def prepared(self, backend: str, view: str, data, prepare: Callable[[], object]):
+        """The prepared form of ``data`` for ``backend``: memoized or fresh."""
+        if view not in self._transient:
+            hit = self._forms.get((backend, view))
+            if hit is not None and hit[0] is data:
+                return hit[1]
+        for key, (source, _) in list(self._forms.items()):
+            if key[1] == view and source is not data:
+                self._forms.pop(key, None)
+        form = prepare()
+        if view not in self._transient:
+            self._forms[(backend, view)] = (data, form)
+        return form
+
+
+def prepared_binding(
+    memo: BindingMemo | None,
+    backend: str,
+    view: str,
+    data,
+    prepare: Callable[[], object],
+):
+    """``prepare()`` for one binding — through ``memo`` when one is given."""
+    if memo is None:
+        return prepare()
+    return memo.prepared(backend, view, data, prepare)
 
 
 def prepare_python_bindings(
     plan: MultiOutputPlan,
     view_data: Mapping[str, ViewData],
     view_group_by: Mapping[str, tuple[str, ...]],
+    memo: BindingMemo | None = None,
 ) -> dict[str, dict]:
     """Reshape all incoming-view bindings of one plan (consumer keying).
 
     Binding contents depend only on the incoming view data, never on the
     trie, so partitioned execution prepares them **once** per group and
     shares the (read-only) result across all partitions instead of
-    re-reshaping per partition.
+    re-reshaping per partition. ``memo`` reuses forms prepared by earlier
+    runs of the same group (see :class:`BindingMemo`).
     """
     bindings: dict[str, dict] = {}
     for binding in plan.bindings:
         data = view_data.get(binding.view)
         if data is None:
             raise PlanError(f"missing incoming view data for {binding.view}")
-        bindings[binding.view] = reshape_binding(
-            binding, view_group_by[binding.view], data
+        group_by = view_group_by[binding.view]
+        bindings[binding.view] = prepared_binding(
+            memo, "python", binding.view, data,
+            lambda b=binding, g=group_by, d=data: reshape_binding(b, g, d),
         )
     return bindings
 
@@ -374,17 +445,19 @@ def prepare_bindings(
     plan: MultiOutputPlan,
     view_data: Mapping[str, ViewData],
     view_group_by: Mapping[str, tuple[str, ...]],
+    memo: BindingMemo | None = None,
 ):
     """Marshal one group's incoming-view bindings for its backend, once.
 
     The returned object is backend-specific (reshaped dicts for Python,
     flattened entry arrays for C, sorted key-code tables for NumPy) and is
     treated as immutable by every per-partition execution, so it is safe
-    to share across threads.
+    to share across threads. ``memo`` (a :class:`BindingMemo`) reuses the
+    forms of views that are still the objects an earlier run prepared.
     """
     if native is not None:
-        return native.prepare_bindings(view_data, view_group_by)
-    return prepare_python_bindings(plan, view_data, view_group_by)
+        return native.prepare_bindings(view_data, view_group_by, memo)
+    return prepare_python_bindings(plan, view_data, view_group_by, memo)
 
 
 def partition_tries(
@@ -496,6 +569,7 @@ def execute_plan_partitioned(
     view_data: Mapping[str, ViewData],
     view_group_by: Mapping[str, tuple[str, ...]],
     functions: Mapping[str, Function],
+    memo: BindingMemo | None = None,
 ) -> dict[str, dict]:
     """Run one compiled group over trie partitions (serially) and merge.
 
@@ -504,12 +578,13 @@ def execute_plan_partitioned(
     bit-identical state no matter which of them ran the group. The parallel
     engine scheduler fans the same per-partition calls out across its
     worker pool and merges with :func:`merge_partial_outputs` itself.
+    ``memo`` (the maintainer's) reuses prepared bindings across runs.
     """
-    if len(tries) == 1:
+    if len(tries) == 1 and memo is None:
         return execute_plan(
             code, native, plan, tries[0], view_data, view_group_by, functions
         )
-    prepared = prepare_bindings(native, plan, view_data, view_group_by)
+    prepared = prepare_bindings(native, plan, view_data, view_group_by, memo)
     partial = [
         execute_plan(
             code,

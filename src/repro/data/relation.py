@@ -16,6 +16,47 @@ from repro.data.types import coerce_column
 from repro.util.errors import SchemaError
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _packed_order(columns: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The stable lexicographic row order by one int64 value sort, if it fits.
+
+    Integer and bool key columns are offset to start at zero and combined
+    in mixed radix (first column most significant); ``sort(comp * n +
+    row_index)`` then orders by key with ties in row order, and ``% n``
+    recovers the permutation — exactly ``np.lexsort``'s, several times
+    faster, because NumPy sorts raw int64 values much faster than it
+    argsorts. Returns None (the caller falls back to ``np.lexsort``) for
+    any other column kind or when ``radix space × n`` overflows int64.
+    """
+    n = len(columns[0])
+    space = 1
+    spans: list[tuple[int, int]] = []
+    for column in columns:
+        if column.dtype.kind not in "iub":
+            return None
+        lo, hi = int(column.min()), int(column.max())
+        space *= hi - lo + 1
+        if space * n > _INT64_MAX or hi > _INT64_MAX:
+            return None
+        spans.append((lo, hi - lo + 1))
+    # in place throughout: one n-row int64 buffer (plus the row index)
+    # instead of a temporary per step — tries are built concurrently.
+    # Intermediate sums may wrap; int64 arithmetic is modular and every
+    # final value fits, so the result is exact.
+    comp = np.zeros(n, dtype=np.int64)
+    for column, (lo, span) in zip(columns, spans):
+        comp *= span
+        comp += column.astype(np.int64, copy=False)
+        comp -= lo
+    comp *= n
+    comp += np.arange(n, dtype=np.int64)
+    comp.sort()
+    np.remainder(comp, n, out=comp)
+    return comp
+
+
 class Relation:
     """An immutable, column-stored relation instance of a schema."""
 
@@ -146,8 +187,10 @@ class Relation:
         """Rows sorted lexicographically by ``names`` (stable)."""
         if self._num_rows == 0 or not names:
             return self
-        keys = [self._columns[n] for n in reversed(list(names))]
-        order = np.lexsort(keys)
+        columns = [self._columns[n] for n in names]
+        order = _packed_order(columns)
+        if order is None:
+            order = np.lexsort(columns[::-1])
         return self.take(order)
 
     def rename(self, new_name: str) -> "Relation":
@@ -194,17 +237,33 @@ class Relation:
             )
         if other.num_rows == 0:
             return self
-        # Vectorised multiset matching: pack rows into structured arrays,
-        # sort this relation once, then binary-search each distinct delete
-        # row's run. Python-level work is O(distinct delete rows), never
-        # O(|relation|).
+        # Vectorised multiset matching. First narrow to the candidate rows
+        # whose every value occurs in the delete batch (one np.isin per
+        # column, integer columns first: their table lookup is cheapest and
+        # shrinks the set most), then pack just the candidates into
+        # structured arrays, sort them, and binary-search each distinct
+        # delete row's run. Candidates stay in row order and the sort is
+        # stable, so each run lists its matches lowest index first.
+        # Python-level work is O(distinct delete rows), never O(|relation|).
         names = list(self.attribute_names)
-        mine = np.rec.fromarrays([self._columns[n] for n in names], names=names)
+        first, *rest = sorted(
+            names, key=lambda n: self._columns[n].dtype.kind not in "iub"
+        )
+        candidates = np.flatnonzero(
+            np.isin(self._columns[first], other.column(first))
+        )
+        for name in rest:
+            column = self._columns[name][candidates]
+            candidates = candidates[np.isin(column, other.column(name))]
+        mine = np.rec.fromarrays(
+            [self._columns[n][candidates] for n in names], names=names
+        )
         gone = np.sort(
             np.rec.fromarrays([other.column(n) for n in names], names=names)
         )
-        order = np.argsort(mine, kind="stable")
-        sorted_mine = mine[order]
+        local = np.argsort(mine, kind="stable")
+        sorted_mine = mine[local]
+        order = candidates[local]
         run_starts = np.flatnonzero(np.concatenate(([True], gone[1:] != gone[:-1])))
         run_ends = np.append(run_starts[1:], len(gone))
         keep = np.ones(self._num_rows, dtype=bool)

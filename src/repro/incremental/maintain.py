@@ -12,13 +12,30 @@ of it per update round:
    group runs at all only when its node's relation changed or one of its
    incoming views changed this round; everything off the path keeps its
    cached outputs;
-3. **per-group maintenance** — a dirty group is refreshed either by the
-   **numeric** delta step (insert-only change at its own node: execute the
-   same compiled group code over a trie of just the inserted tuples and add
-   the emitted deltas in — exact because every slot is a sum over the
-   node's rows, hence linear in the row multiset, and key sets only grow
-   under inserts) or by a **rescan** (re-execute over the node's full trie
-   with refreshed inputs — bit-identical to a from-scratch run);
+3. **per-group maintenance** — a dirty group is refreshed by one of:
+
+   * the **numeric** delta step at the changed node (insert-only change at
+     its own node, inputs clean): execute the same compiled group code
+     over a trie of just the inserted tuples and add the emitted deltas
+     in — exact because every slot is a sum over the node's rows, hence
+     linear in the row multiset, and key sets only grow under inserts;
+   * **Δ propagation** downstream (own node clean, every dirty input
+     carrying an insert-only Δ emitted this round): execute over the
+     node's unchanged cached trie with each dirty view bound to its Δ and
+     merge only the artifacts that read a dirty view — exact because each
+     slot is linear in each single view it reads, under the structural
+     conditions of :meth:`MaintainedBatch._propagation_applicable` (one
+     producer and one probe key for all dirty inputs, no artifact reading
+     two of them, no new probe key for an artifact that reads none);
+   * a **rescan** otherwise — deletes, a node delta together with a dirty
+     input, an input refreshed by a rescan, or a failed condition:
+     re-execute over the node's full trie with refreshed inputs,
+     bit-identical to a from-scratch run.
+
+   An insert therefore costs O(|Δ|) marshalling and merging along its
+   whole dirty path: clean incoming views keep their backend-prepared
+   binding across rounds (:class:`~repro.core.runtime.BindingMemo`), and
+   unordered results re-finish only the keys a merge touched;
 4. **delta cutoff** — a refreshed view that compares equal to its previous
    contents stops dirtying its consumers.
 
@@ -28,8 +45,8 @@ after construction. ``EngineConfig.incremental_mode`` selects the strategy:
 rescan; the maintained state stays bit-for-bit equal to recomputation), or
 ``"numeric"`` (strict: like auto, but a delta containing deletes raises
 *before any state is touched* rather than silently falling back — for
-tests and benchmarks that must not lose the O(|Δ|) path; downstream
-propagation rescans are part of the numeric design and remain allowed).
+tests and benchmarks that must not lose the O(|Δ|) path; the structural
+propagation fallbacks above stay allowed).
 
 **Snapshot isolation.** Every apply round builds a complete *successor
 version* off to the side — a new :class:`~repro.core.snapshot.Snapshot`
@@ -70,6 +87,7 @@ from typing import Mapping
 from repro.core.engine import CompiledBatch, LMFAO, RunResult, _to_query_result
 from repro.core.runtime import (
     ArrayViewData,
+    BindingMemo,
     apply_predicates,
     debug_checks_enabled,
     local_predicates,
@@ -80,7 +98,11 @@ from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
 from repro.data.trie import TrieIndex
 from repro.incremental.delta import RelationDelta, stage_deltas
-from repro.incremental.rules import DeltaRules, refresh_ordered
+from repro.incremental.rules import (
+    DeltaRules,
+    refresh_ordered,
+    refresh_unordered,
+)
 from repro.query.query import QueryResult
 from repro.util.errors import PlanError
 
@@ -115,9 +137,12 @@ class ApplyResult:
     #: views whose contents actually changed this round.
     refreshed_views: tuple[str, ...]
     relations_changed: tuple[str, ...]
-    #: groups maintained by the O(|Δ|) numeric step.
+    #: groups maintained numerically: over a trie of the inserted tuples
+    #: at the changed node, or downstream by Δ propagation (Δ-bound dirty
+    #: inputs, merging only the artifacts that read them).
     groups_numeric: int
-    #: groups re-executed over their full (cached) trie.
+    #: groups re-executed over their full (cached) trie with full inputs
+    #: (deletes, and the propagation fallbacks).
     groups_rescanned: int
     #: groups skipped entirely — off the dirty path or cut off.
     groups_skipped: int
@@ -169,6 +194,14 @@ class MaintainedBatch:
         self._ordered_queries = frozenset(
             query.name for query in compiled.batch if query.order_by is not None
         )
+        # group index → artifact → the incoming views its slots read (the
+        # propagation step merges exactly the artifacts reading a dirty one)
+        self._emission_views = {
+            index: {e.artifact: plan.emission_views(e) for e in plan.emissions}
+            for index, plan in enumerate(compiled.plans)
+        }
+        # group index → its BindingMemo forms (prepared clean bindings)
+        self._binding_forms: dict[int, dict] = {}
         # Pin the engine's current snapshot. Its trie memo is *shared* (the
         # memo only gains immutable entries, so warming it here warms the
         # engine's runs too); successor versions built by apply() share
@@ -337,17 +370,36 @@ class MaintainedBatch:
         changed_views: set[str] = set()
         refreshed_views: set[str] = set()
         dirty_queries: set[str] = set()
-        dirty_keys: dict[str, set] = {}
+        # per query, the raw keys this round's merges touched, in merge
+        # order (a dict used as an ordered set); None = unknown (a rescan)
+        dirty_keys: dict[str, dict | None] = {}
+        # per view, the insert-only Δ a numeric or propagated group
+        # emitted this round — what its dirty consumers bind next
+        view_deltas: dict[str, dict] = {}
         for index in self.compiled.execution_order:
             plan = self.compiled.plans[index]
             node_delta = changed.get(plan.node)
-            upstream_dirty = any(v in changed_views for v in plan.consumed_views)
-            if node_delta is None and not upstream_dirty:
+            dirty = tuple(v for v in plan.consumed_views if v in changed_views)
+            if node_delta is None and not dirty:
                 skipped += 1
                 continue
-            if self._numeric_applicable(node_delta, upstream_dirty):
+            adopt = None
+            if self._numeric_applicable(node_delta, dirty):
                 outputs = self._run_delta(index, node_delta, view_data)
                 merge = self._merge_delta_outputs
+                numeric += 1
+            elif node_delta is None and self._propagation_applicable(
+                index, dirty, view_deltas, state.view_data
+            ):
+                bound = dict(view_data)
+                bound.update((view, view_deltas[view]) for view in dirty)
+                outputs = self._run_full(index, snapshot, bound, transient=dirty)
+                merge = self._merge_delta_outputs
+                adopt = {
+                    name
+                    for name, reads in self._emission_views[index].items()
+                    if not reads.isdisjoint(dirty)
+                }
                 numeric += 1
             else:
                 outputs = self._run_full(index, snapshot, view_data)
@@ -359,29 +411,29 @@ class MaintainedBatch:
                 view_data,
                 query_raw,
                 merge=merge,
+                adopt=adopt,
                 changed_views=changed_views,
                 refreshed_views=refreshed_views,
                 dirty_queries=dirty_queries,
                 dirty_keys=dirty_keys,
+                view_deltas=view_deltas,
             )
+            if adopt is not None and debug_checks_enabled():
+                self._debug_check_propagated(index, snapshot, view_data, query_raw)
         results = dict(state.results)
         for query in self.compiled.batch:
             if query.name not in dirty_queries:
                 continue
+            old = state.results.get(query.name)
+            raw = query_raw[query.name]
+            keys = dirty_keys.get(query.name)
             if query.order_by is not None:
-                results[query.name] = QueryResult(
-                    query=query,
-                    groups=refresh_ordered(
-                        query,
-                        state.results.get(query.name),
-                        query_raw[query.name],
-                        dirty_keys.get(query.name),
-                    ),
-                )
+                groups = refresh_ordered(query, old, raw, keys)
+            elif old is None or keys is None:
+                groups = _to_query_result(query, raw).groups
             else:
-                results[query.name] = _to_query_result(
-                    query, query_raw[query.name]
-                )
+                groups = refresh_unordered(query, old.groups, raw, keys)
+            results[query.name] = QueryResult(query=query, groups=groups)
         new_state = _MaintainedVersion(snapshot, view_data, query_raw, results)
         result = ApplyResult(
             results=results,
@@ -404,26 +456,79 @@ class MaintainedBatch:
 
     # ----------------------------------------------------------- group execution
     def _numeric_applicable(
-        self, node_delta: RelationDelta | None, upstream_dirty: bool
+        self, node_delta: RelationDelta | None, dirty: tuple[str, ...]
     ) -> bool:
         if self.config.incremental_mode == "rescan":
             return False
-        return (
-            node_delta is not None
-            and node_delta.insert_only
-            and not upstream_dirty
-        )
+        return node_delta is not None and node_delta.insert_only and not dirty
+
+    def _propagation_applicable(
+        self,
+        index: int,
+        dirty: tuple[str, ...],
+        view_deltas: Mapping[str, dict],
+        previous: Mapping[str, dict],
+    ) -> bool:
+        """Whether a group with clean node and dirty inputs can run on Δs.
+
+        The group runs over its unchanged trie with each dirty view bound
+        to its Δ; an emission reading exactly one dirty view receives
+        exactly its own delta, because its slots are linear in that view
+        and, under inserts, its key set only grows by the keys the Δ
+        supports. Three structural conditions keep that exact:
+
+        * every dirty input carries an insert-only Δ from this round (a
+          view refreshed by a rescan — deletes — has none);
+        * all dirty inputs come from one producer group and are probed on
+          the same key: every binding gates the whole loop nest, and views
+          from one scan share their key set on that probe key both before
+          and in the Δ, so binding all of them to Δs gates each emission
+          exactly like its own dirty view does;
+        * no emission reads two dirty views (the product of two changed
+          factors is not linear), and an emission reading none stays valid
+          only when the Δ adds no new probe key (its gate is unchanged).
+        """
+        if self.config.incremental_mode == "rescan":
+            return False
+        if any(view not in view_deltas for view in dirty):
+            return False
+        plan = self.compiled.plans[index]
+        producers = {self.rules.producer_of_view.get(view) for view in dirty}
+        keys = {plan.binding(view).key for view in dirty}
+        if len(producers) != 1 or len(keys) != 1:
+            return False
+        reads = [
+            len(views.intersection(dirty))
+            for views in self._emission_views[index].values()
+        ]
+        if any(count > 1 for count in reads):
+            return False
+        if 0 in reads:
+            old = previous[dirty[0]]
+            if any(key not in old for key in view_deltas[dirty[0]]):
+                return False
+        return True
 
     def _run_full(
-        self, index: int, snapshot: Snapshot, view_data: dict
+        self,
+        index: int,
+        snapshot: Snapshot,
+        view_data: Mapping[str, dict],
+        transient: tuple[str, ...] = (),
     ) -> dict[str, dict]:
-        """Re-execute one group over the full (cached) trie of its node."""
+        """Execute one group over the full (cached) trie of its node.
+
+        ``transient`` names views of ``view_data`` bound to this round's
+        Δs (the propagation step), which the binding memo must not keep.
+        """
         plan = self.compiled.plans[index]
         trie = node_trie(
             snapshot.db, plan.node, plan.order,
             self.compiled.shared_predicates, snapshot.tries,
         )
-        return self._execute(index, trie, view_data, snapshot=snapshot)
+        return self._execute(
+            index, trie, view_data, snapshot=snapshot, transient=transient
+        )
 
     def _run_delta(
         self, index: int, delta: RelationDelta, view_data: dict
@@ -446,8 +551,9 @@ class MaintainedBatch:
         self,
         index: int,
         trie: TrieIndex,
-        view_data: dict,
+        view_data: Mapping[str, dict],
         snapshot: Snapshot | None = None,
+        transient: tuple[str, ...] = (),
     ) -> dict[str, dict]:
         """Drive one group through the engine's partitioned execution path.
 
@@ -463,6 +569,9 @@ class MaintainedBatch:
         in-process — they are usually below ``parallel_threshold`` anyway.
         ``view_data`` is the successor version's store being built: a
         downstream group reads its upstream views refreshed-this-round.
+        Bindings go through a :class:`BindingMemo` over the group's kept
+        forms, so a view left untouched since the group's last run is not
+        marshalled again.
         """
         compiled = self.compiled
         plan = compiled.plans[index]
@@ -479,6 +588,7 @@ class MaintainedBatch:
             compiled.functions,
             snapshot=snapshot,
             shared=compiled.shared_predicates,
+            memo=BindingMemo(self._binding_forms.setdefault(index, {}), transient),
         )
 
     def _adopt_outputs(
@@ -488,53 +598,60 @@ class MaintainedBatch:
         view_data: dict[str, dict],
         query_raw: dict[str, dict],
         merge=None,
+        adopt: set[str] | None = None,
         changed_views: set[str] | None = None,
         refreshed_views: set[str] | None = None,
         dirty_queries: set[str] | None = None,
-        dirty_keys: dict[str, set] | None = None,
+        dirty_keys: dict[str, dict | None] | None = None,
+        view_deltas: dict[str, dict] | None = None,
     ) -> None:
         """Adopt (rescan) or add (numeric) one group's outputs; track diffs.
 
         Writes only into the successor version's stores (``view_data`` /
         ``query_raw``); the previous version's dicts and value lists are
         never touched — numeric merges go through the copy-on-write
-        :meth:`_merge_delta_outputs`.
+        :meth:`_merge_delta_outputs`. ``adopt`` restricts a merge to the
+        named emissions (a propagated group's other outputs are unchanged
+        and stay carried by reference); a merged view's Δ is recorded in
+        ``view_deltas`` for its consumers.
 
-        For ordered queries the per-key change set is collected into
-        ``dirty_keys`` (numeric merges report the keys they touched; a
-        rescan diffs old vs new raw), feeding
-        :func:`repro.incremental.rules.refresh_ordered`'s targeted
-        partition re-rank.
+        Per query, the raw keys a merge touched are collected into
+        ``dirty_keys`` in merge order, so the result refresh re-finishes
+        only those (:func:`repro.incremental.rules.refresh_unordered`,
+        :func:`~repro.incremental.rules.refresh_ordered`). A rescan diffs
+        old vs new raw for ordered queries (their re-rank is per
+        partition, so order does not matter) and marks unordered ones
+        unknown (``None``: full finish).
         """
         cutoff = self.config.incremental_cutoff
         for emission in self.compiled.plans[index].emissions:
+            name = emission.artifact
+            if adopt is not None and name not in adopt:
+                continue
             is_view = emission.kind == "view"
             store = view_data if is_view else query_raw
-            name = emission.artifact
-            track: set | None = None
-            if (
-                dirty_keys is not None
-                and not is_view
-                and name in self._ordered_queries
-            ):
-                track = dirty_keys.setdefault(name, set())
+            track: dict | None = None
+            if dirty_keys is not None and not is_view:
+                track = dirty_keys.setdefault(name, {})
             if merge is not None:
                 merged, artifact_changed = merge(
                     store[name], outputs[name], track
                 )
                 store[name] = merged
+                if is_view and view_deltas is not None:
+                    view_deltas[name] = outputs[name]
             else:
                 old = store.get(name)
                 new = outputs[name]
                 store[name] = new
                 artifact_changed = old is None or old != new
                 if track is not None and artifact_changed:
-                    if old is None:
-                        dirty_keys[name] = None  # unknown: force full finish
+                    if old is None or name not in self._ordered_queries:
+                        dirty_keys[name] = None  # unknown: full finish
                     else:
                         for key in old.keys() | new.keys():
                             if old.get(key) != new.get(key):
-                                track.add(key)
+                                track[key] = None
             if changed_views is None:
                 continue
             if is_view:
@@ -547,14 +664,15 @@ class MaintainedBatch:
 
     @staticmethod
     def _merge_delta_outputs(
-        target: dict, delta: dict, changed_keys: set | None = None
+        target: dict, delta: dict, changed_keys: dict | None = None
     ) -> tuple[dict, bool]:
         """A merged copy ``target + delta`` per key and slot (copy-on-write).
 
         Returns ``(merged, changed)``; when ``changed_keys`` is given,
-        every key the merge added or updated is also recorded into it
-        (the ordered-query refresh uses this to re-rank only the dirtied
-        partitions). ``target`` — the *previous*
+        every key the merge added or updated is also recorded into it, in
+        merge order (the result refresh re-finishes only those keys, and
+        the ordered-query refresh re-ranks only the dirtied partitions).
+        ``target`` — the *previous*
         version's artifact — is never mutated, and neither are its stored
         value lists: the merge shallow-copies the key table and copies a
         value list the first time a slot of it changes, so readers holding
@@ -575,7 +693,7 @@ class MaintainedBatch:
                 merged[key] = list(values)
                 changed = True
                 if changed_keys is not None:
-                    changed_keys.add(key)
+                    changed_keys[key] = None
                 continue
             updated = None
             for slot, value in enumerate(values):
@@ -587,13 +705,40 @@ class MaintainedBatch:
             if updated is not None:
                 merged[key] = updated
                 if changed_keys is not None:
-                    changed_keys.add(key)
+                    changed_keys[key] = None
         if debug_checks_enabled():
             # the merge must leave both sources unscathed
             for source in (target, delta):
                 if isinstance(source, ArrayViewData):
                     source.check_consistent()
         return merged, changed
+
+    def _debug_check_propagated(
+        self, index: int, snapshot: Snapshot, view_data: dict, query_raw: dict
+    ) -> None:
+        """Under ``LMFAO_DEBUG``: a Δ-propagated group equals its rescan.
+
+        Re-runs the group over its full trie against the successor's
+        (already refreshed) inputs and compares every artifact it emits —
+        merged and carried alike — key set and values: exactly when the
+        data is integer-valued, within 1e-9 relative otherwise.
+        """
+        rescan = self._run_full(index, snapshot, view_data)
+        for emission in self.compiled.plans[index].emissions:
+            name = emission.artifact
+            store = view_data if emission.kind == "view" else query_raw
+            got, want = store[name], rescan[name]
+            assert got.keys() == want.keys(), (
+                f"propagated {name} key set diverged from its rescan"
+            )
+            exact = all(
+                float(v).is_integer() for values in want.values() for v in values
+            )
+            for key, values in want.items():
+                for a, b in zip(got[key], values):
+                    assert a == b if exact else abs(a - b) <= 1e-9 * max(
+                        abs(a), abs(b), 1.0
+                    ), f"propagated {name}[{key!r}] = {a!r}, rescan {b!r}"
 
     def _debug_check_stores(self) -> None:
         """Under ``LMFAO_DEBUG``: no maintained dict may carry stale arrays.

@@ -23,7 +23,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import topk
+from repro.core.engine import _to_query_result
 from repro.core.runtime import debug_checks_enabled
+
+
+def refresh_unordered(query, old_groups, new_raw, dirty_keys):
+    """Finish one unordered query after a merge touched only ``dirty_keys``.
+
+    Copies the previous finished groups and re-converts just the raw keys
+    the merge added or updated. ``dirty_keys`` is in merge order, and the
+    merge appends new keys to the raw store in that same order while an
+    updated key keeps its place — so the copy has exactly the dict order
+    (and values) of a full :func:`repro.core.engine._to_query_result`
+    over ``new_raw`` (asserted under ``LMFAO_DEBUG``).
+    """
+    groups = dict(old_groups)
+    for key in dirty_keys:
+        values = new_raw[key]
+        groups[key if isinstance(key, tuple) else (key,)] = tuple(
+            float(v) for v in values
+        )
+    if debug_checks_enabled():
+        full = _to_query_result(query, new_raw).groups
+        assert list(groups.items()) == list(full.items()), (
+            f"refresh_unordered({query.name}) diverged from the full finish"
+        )
+    return groups
 
 
 def refresh_ordered(query, old_result, new_raw, dirty_keys):

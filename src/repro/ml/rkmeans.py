@@ -43,7 +43,7 @@ class RkMeansResult:
     dimensions: tuple[str, ...]
     k: int
     centroids: np.ndarray  # (k, n_dims)
-    grid_points: np.ndarray  # (m, n_dims)
+    grid_points: np.ndarray  # (m, n_dims), ascending by grid cell
     grid_weights: np.ndarray  # (m,)
     num_queries: int  # n + 1, as the paper counts
     #: wall time per step: aggregates1, kmeans_1d, grid_aggregate, kmeans_grid
@@ -127,17 +127,19 @@ def rk_means(
         "grid", group_by=cluster_attrs, aggregates=(Aggregate.count(),)
     )
     grid_run = grid_engine.run(QueryBatch([grid_query]))
-    grid = grid_run.results["grid"].groups
+    # ascending cluster-id order: step 4's k-means++ seeds by grid position,
+    # and the engine's emission order differs between backends
+    grid = sorted(grid_run.results["grid"].groups.items())
     steps["step3_grid"] = time.perf_counter() - start
 
     grid_points = np.array(
         [
             [centroids_1d[attr][int(key[j])] for j, attr in enumerate(dimensions)]
-            for key in grid
+            for key, _ in grid
         ],
         dtype=np.float64,
     )
-    grid_weights = np.array([stats[0] for stats in grid.values()], dtype=np.float64)
+    grid_weights = np.array([stats[0] for _, stats in grid], dtype=np.float64)
 
     # ---- step 4: weighted k-means on the coreset -----------------------------
     start = time.perf_counter()

@@ -295,9 +295,10 @@ def test_strict_numeric_mode_accepts_inserts(favorita_db):
     handle = engine.maintain(example_queries())
     sales = handle.database.relation("Sales")
     outcome = handle.apply(inserts={"Sales": [sales.row(0)]})
-    # every changed-node group took the O(|Δ|) path; only downstream
-    # propagation (consumers of the refreshed views) rescanned
-    assert outcome.groups_numeric == len(handle.rules.groups_by_node["Sales"])
+    # the changed node's groups and every downstream consumer took the
+    # O(|Δ|) path: the Δ propagates along the whole dirty path
+    assert outcome.groups_rescanned == 0
+    assert outcome.groups_numeric >= len(handle.rules.groups_by_node["Sales"])
     _assert_close(handle)
 
 

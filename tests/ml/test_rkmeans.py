@@ -78,3 +78,32 @@ def test_single_dimension(db):
     result = rk_means(db, dimensions=("units",), k=2, seed=0)
     assert result.centroids.shape == (2, 1)
     assert result.num_queries == 2
+
+
+def test_centroids_identical_across_backends(db):
+    """Step 4 seeds by grid position, so the grid is put in key order first.
+
+    Each backend emits the grid query's groups in its own order; without
+    the sort, k-means++ would start from different points per backend.
+    """
+    from repro.core import EngineConfig, LMFAO
+    from repro.core.cbackend import gcc_available
+
+    backends = ["python", "numpy"] + (["c"] if gcc_available() else [])
+    results = {
+        backend: rk_means(
+            db,
+            dimensions=("units", "txns", "price", "store"),
+            k=4,
+            engine_factory=lambda d, b=backend: LMFAO(d, EngineConfig(backend=b)),
+        )
+        for backend in backends
+    }
+    reference = results["python"]
+    for backend, result in results.items():
+        np.testing.assert_array_equal(
+            result.grid_points, reference.grid_points, err_msg=backend
+        )
+        np.testing.assert_array_equal(
+            result.centroids, reference.centroids, err_msg=backend
+        )
