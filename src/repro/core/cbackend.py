@@ -2,8 +2,8 @@
 
 The published LMFAO emits C++ compiled with g++; this module restores that
 fidelity where a toolchain is available: each :class:`MultiOutputPlan` is
-lowered to C99, compiled with ``gcc -O2 -shared`` and invoked through
-ctypes. The generated C mirrors the Python backend statement for
+lowered to C99, compiled with ``gcc -O1 -fPIC -shared`` into a shared
+object of its own and invoked through ctypes. The generated C mirrors the Python backend statement for
 statement — same trie loops, probes, γ/β locals, support guards and output
 updates — so the two backends are differentially testable.
 
@@ -36,6 +36,25 @@ C side and read-only numpy arrays on the Python side. Calls go through
 ``ctypes.CDLL``, which **releases the GIL** for the duration of the native
 call — so the engine's domain-parallel mode (one call per trie partition,
 see ``repro.core.runtime``) gets real multicore scaling on this backend.
+
+**Compile cache.** :func:`compile_c_groups` compiles each distinct group
+source once per process. The key is the SHA-1 of the prelude, the
+group's source (its symbol included) and the gcc flags; the value is the
+loaded ``ctypes.CDLL``. Batches that repeat a group — CART's per-node
+batches, a server's cold compiles of related structures, every engine
+over the same schema — bind to the library already mapped instead of
+running gcc again. Lookups take a short lock; gcc runs outside it, and a
+second caller missing a digest that is already being compiled waits for
+that compile rather than starting its own (single flight). A failed
+compile is not cached: the next call retries. The cache holds handles
+only — the ``.so`` files live in a per-call temporary directory removed
+once they are mapped — and it lives as long as the process. Nothing is
+ever unloaded with ``dlclose``: ctypes offers no safe unload while bound
+function pointers may still be called, and an object that stays mapped
+keeps its inode allocated, so ``dlopen`` (which recognises a loaded
+object by device and inode) can never mistake a later compile for it.
+Mapped code is therefore bounded by the number of distinct group sources
+the process has seen.
 """
 
 from __future__ import annotations
@@ -43,8 +62,11 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import io
+import logging
 import subprocess
 import tempfile
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -72,6 +94,10 @@ from repro.core.runtime import prepared_binding
 from repro.data.trie import TrieIndex
 from repro.query.functions import Function
 from repro.util.errors import PlanError
+
+logger = logging.getLogger(__name__)
+
+_GCC_FLAGS = ("-O1", "-fPIC", "-shared")
 
 _PRELUDE = r"""
 #include <stdint.h>
@@ -547,7 +573,7 @@ class CCompiledGroup:
         self.symbol = symbol
         self.args = args
         self.source = source
-        self.fn = None  # bound by CBackendLibrary.load
+        self.fn = None  # bound by compile_c_groups
 
     # ------------------------------------------------------------- marshaling
     def prepare_bindings(self, view_data, view_group_by, memo=None) -> dict:
@@ -774,75 +800,90 @@ class CCompiledGroup:
         return outputs
 
 
-class CBackendLibrary:
-    """Compiles a set of plans into one shared object and binds symbols."""
+class _Library:
+    """One cache slot: a shared object being compiled or already loaded.
+
+    ``ready`` is set once ``handle`` (the loaded ``ctypes.CDLL``) or
+    ``error`` (gcc's diagnostics) is filled in. A slot is created by the
+    call that misses its digest; concurrent callers wanting the same
+    source wait on ``ready`` instead of running gcc again.
+    """
+
+    __slots__ = ("ready", "handle", "error")
 
     def __init__(self) -> None:
-        self._lib = None
-        self._dir: tempfile.TemporaryDirectory | None = None
+        self.ready = threading.Event()
+        self.handle: ctypes.CDLL | None = None
+        self.error: str | None = None
 
-    def compile(self, groups: list[CCompiledGroup]) -> None:
-        """Compile one object file per group in parallel, then link.
 
-        Task-parallel compilation mirrors how the published system hides
-        its g++ latency; the biggest group's translation unit still
-        dominates, exactly the trade-off the paper reports for compiled
-        batches.
-        """
-        digest = hashlib.sha1(
-            "".join(g.source for g in groups).encode()
-        ).hexdigest()[:12]
-        self._dir = tempfile.TemporaryDirectory(prefix="lmfao_c_")
-        base = Path(self._dir.name)
-        processes = []
-        objects = []
-        for i, group in enumerate(groups):
-            c_path = base / f"g{i}.c"
-            o_path = base / f"g{i}.o"
-            c_path.write_text(_PRELUDE + group.source)
-            objects.append(str(o_path))
-            processes.append(
-                subprocess.Popen(
-                    ["gcc", "-O1", "-fPIC", "-c", "-o", str(o_path), str(c_path)],
+#: digest -> slot, for the life of the process (see the module docstring).
+_LIBRARIES: dict[str, _Library] = {}
+_LIBRARIES_LOCK = threading.Lock()
+
+
+def _source_digest(source: str) -> str:
+    text = _PRELUDE + source + " ".join(_GCC_FLAGS)
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def _build(misses: dict[str, tuple[_Library, CCompiledGroup]]) -> None:
+    """Run gcc once per missed digest, in parallel, and fill the slots.
+
+    Task-parallel compilation mirrors how the published system hides its
+    g++ latency: the biggest group's translation unit still dominates.
+    The shared objects live in a per-call temporary directory that is
+    deleted as soon as every object is mapped: the loaded handles keep
+    the code alive. A slot left without a handle (gcc failed, or the
+    build itself raised) leaves the cache, so the next call retries,
+    before its waiters wake.
+    """
+    try:
+        with tempfile.TemporaryDirectory(prefix="lmfao_c_") as tmp:
+            processes = []
+            for digest, (_, group) in misses.items():
+                c_path = Path(tmp) / f"{digest}.c"
+                so_path = Path(tmp) / f"{digest}.so"
+                c_path.write_text(_PRELUDE + group.source)
+                process = subprocess.Popen(
+                    ["gcc", *_GCC_FLAGS, "-o", str(so_path), str(c_path)],
                     stdout=subprocess.PIPE,
                     stderr=subprocess.PIPE,
                     text=True,
                 )
-            )
-        for i, process in enumerate(processes):
-            _, stderr = process.communicate()
-            if process.returncode != 0:
-                raise PlanError(f"gcc failed on {groups[i].symbol}:\n{stderr[:4000]}")
-        so_path = base / f"groups_{digest}.so"
-        result = subprocess.run(
-            ["gcc", "-shared", "-o", str(so_path)] + objects,
-            capture_output=True,
-            text=True,
-        )
-        if result.returncode != 0:
-            raise PlanError(f"gcc link failed:\n{result.stderr[:4000]}")
-        self._lib = ctypes.CDLL(str(so_path))
-        for group in groups:
-            fn = getattr(self._lib, group.symbol)
-            fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
-            fn.restype = ctypes.c_int32
-            group.fn = fn
+                processes.append((digest, so_path, process))
+            for digest, so_path, process in processes:
+                slot, group = misses[digest]
+                _, stderr = process.communicate()
+                if process.returncode != 0:
+                    slot.error = f"gcc failed on {group.symbol}:\n{stderr[:4000]}"
+                else:
+                    slot.handle = ctypes.CDLL(str(so_path))
+    finally:
+        for digest, (slot, group) in misses.items():
+            if slot.handle is None:
+                slot.error = slot.error or f"compiling {group.symbol} was interrupted"
+                with _LIBRARIES_LOCK:
+                    del _LIBRARIES[digest]
+            slot.ready.set()
 
 
 def compile_c_groups(
     plans: Sequence[MultiOutputPlan], attribute_kinds: Mapping[str, str]
-) -> tuple[list, "CBackendLibrary | None"]:
+) -> list:
     """Lower supported plans to C; unsupported ones stay on Python.
 
-    Returns ``(native_groups, library)`` in the
-    :attr:`~repro.core.engine.CompiledBatch.native_groups` layout. Shared
-    by the engine's compile step and the per-process warm-up of the
-    multiprocess executor (:mod:`repro.core.mpexec`), which recompiles the
-    same plans once per worker process — compiled code cannot cross a
-    process boundary, plans can.
+    Returns the native groups in the
+    :attr:`~repro.core.engine.CompiledBatch.native_groups` layout, each
+    with its ``fn`` bound. Shared by the engine's compile step and the
+    per-process warm-up of the multiprocess executor
+    (:mod:`repro.core.mpexec`), which recompiles the same plans once per
+    worker process — compiled code cannot cross a process boundary, plans
+    can. gcc runs only for sources this process has not compiled before.
     """
     if not gcc_available():
         raise PlanError("backend='c' requires gcc on PATH")
+    start = time.perf_counter()
     native_groups: list = [None] * len(plans)
     native = []
     for i, plan in enumerate(plans):
@@ -853,8 +894,32 @@ def compile_c_groups(
         group = CCompiledGroup(plan=plan, symbol=symbol, args=args, source=source)
         native_groups[i] = group
         native.append(group)
-    library = None
-    if native:
-        library = CBackendLibrary()
-        library.compile(native)
-    return native_groups, library
+
+    slots: list[_Library] = []
+    misses: dict[str, tuple[_Library, CCompiledGroup]] = {}
+    with _LIBRARIES_LOCK:
+        for group in native:
+            digest = _source_digest(group.source)
+            slot = _LIBRARIES.get(digest)
+            if slot is None:
+                slot = _LIBRARIES[digest] = _Library()
+                misses[digest] = (slot, group)
+            slots.append(slot)
+    if misses:
+        _build(misses)
+    for group, slot in zip(native, slots):
+        slot.ready.wait()
+        if slot.handle is None:
+            raise PlanError(slot.error)
+        fn = slot.handle[group.symbol]
+        fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
+        fn.restype = ctypes.c_int32
+        group.fn = fn
+    logger.debug(
+        "compiled %d C group(s): %d cache hit(s), %d gcc run(s) in %.3f s",
+        len(native),
+        len(native) - len(misses),
+        len(misses),
+        time.perf_counter() - start,
+    )
+    return native_groups

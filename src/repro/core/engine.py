@@ -332,10 +332,8 @@ class CompiledBatch:
     shared_predicates: tuple[Predicate, ...]
     execution_order: list[int]
     #: per-group native implementation — a C or NumPy compiled group, or
-    #: None for the generated-Python backend — plus, for C, the shared
-    #: library keeping the symbols alive.
+    #: None for the generated-Python backend.
     native_groups: list = field(default_factory=list)
-    c_library: object | None = None
     #: under ``backend="auto"``: the per-group compiled-C candidates the
     #: cost model may pick over the NumPy groups in ``native_groups``
     #: (all None when gcc is unavailable or a plan is unsupported).
@@ -577,9 +575,8 @@ class LMFAO:
 
         native_groups: list = [None] * len(plans)
         c_groups: list = [None] * len(plans)
-        c_library = None
         if config.backend == "c":
-            native_groups, c_library = self._compile_native(plans)
+            native_groups = self._compile_native(plans)
         elif config.backend == "numpy":
             from repro.core import npbackend
 
@@ -591,7 +588,7 @@ class LMFAO:
 
             native_groups = npbackend.compile_numpy_groups(plans, adaptive=True)
             try:
-                c_groups, c_library = self._compile_native(plans)
+                c_groups = self._compile_native(plans)
             except PlanError:
                 # no gcc on this machine: auto degrades to python/numpy.
                 c_groups = [None] * len(plans)
@@ -611,7 +608,6 @@ class LMFAO:
             shared_predicates=shared,
             execution_order=execution_order,
             native_groups=native_groups,
-            c_library=c_library,
             c_groups=c_groups,
         )
 

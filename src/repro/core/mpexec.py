@@ -305,16 +305,15 @@ def _warm_batch(payload):
 
     code = [generate_group(plan, share_terms=share_terms) for plan in plans]
     natives: list = [None] * len(plans)
-    library = None
     if backend == "c":
         from repro.core import cbackend
 
-        natives, library = cbackend.compile_c_groups(plans, attribute_kinds)
+        natives = cbackend.compile_c_groups(plans, attribute_kinds)
     elif backend == "numpy":
         from repro.core import npbackend
 
         natives = npbackend.compile_numpy_groups(plans, adaptive=adaptive)
-    return plans, code, natives, library
+    return plans, code, natives
 
 
 def _worker_main(conn) -> None:
@@ -325,7 +324,7 @@ def _worker_main(conn) -> None:
     is reported as ``("error", traceback)`` — the parent turns it into a
     :class:`PlanError`; a vanished pipe ends the loop.
     """
-    batches: dict = {}  # batch key -> (plans, code, natives, library)
+    batches: dict = {}  # batch key -> (plans, code, natives)
     segments: dict = {}  # segment name -> SharedMemory
     tries: dict = {}  # (segment name, partition index) -> TrieIndex
     while True:
@@ -351,7 +350,7 @@ def _worker_main(conn) -> None:
             elif kind == "exec":
                 (_, key, group_index, export, part_indices,
                  view_data, view_group_by, functions) = message
-                plans, code, natives, _library = batches[key]
+                plans, code, natives = batches[key]
                 shm = segments.get(export.segment)
                 if shm is None:
                     shm = _attach_segment(export.segment)
