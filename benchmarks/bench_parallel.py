@@ -17,14 +17,6 @@ and checks three claims:
   smaller machines the speedup is recorded but not asserted; set
   ``LMFAO_BENCH_STRICT=0`` to downgrade both assertions to warnings on
   unusual hardware;
-* **multiprocess scaling** — a process-executor column
-  (``executor="process", workers=4, partitions=4`` per backend) runs
-  trie partitions in worker processes over shared-memory segments
-  (:mod:`repro.core.mpexec`), sidestepping the GIL entirely. Every
-  point is bit-exact against the sequential Python baseline, and with
-  ≥ 4 usable cores the Python backend under the process executor must
-  beat sequential Python by ≥ 3× at full size (row-gated like the
-  NumPy gate; on smaller machines the skip is recorded in the report);
 * **carried coverage** — a second, carried-heavy batch (every keyed
   query groups by a Fact attribute *and* the Dim attribute ``w``, so
   each root plan probes a carried view) runs the NumPy leg across the
@@ -345,47 +337,6 @@ def run_grid(rows: int, repeats: int) -> dict:
                     f"{seconds * 1e3:8.1f} ms  bit-exact={bit_exact}"
                 )
 
-    # ----------------------------------------------- process-executor column
-    # Domain parallelism in worker processes over shared-memory tries
-    # (repro.core.mpexec) — the configuration the GIL-bound backends need
-    # for real multicore scaling. One point per backend at the scaling
-    # corner of the grid; warm-up (pool spawn, per-worker plan recompile,
-    # segment export) happens inside _time_execute's untimed first run.
-    process_points = []
-    for backend in backends:
-        config = EngineConfig(
-            backend=backend,
-            executor="process",
-            workers=4,
-            partitions=4,
-            parallel_threshold=0,
-        )
-        engine = LMFAO(db, config)
-        try:
-            compiled = engine.compile(batch)
-            seconds, results, _ = _time_execute(engine, compiled, repeats)
-        finally:
-            engine.close()
-        bit_exact = results == baseline
-        assert bit_exact, (
-            f"{backend} executor=process workers=4 partitions=4 "
-            f"diverged from the sequential Python baseline"
-        )
-        process_points.append(
-            {
-                "backend": backend,
-                "executor": "process",
-                "workers": 4,
-                "partitions": 4,
-                "seconds": seconds,
-                "bit_exact_vs_sequential_python": bit_exact,
-            }
-        )
-        print(
-            f"  {backend:>6}  process  workers=4  partitions=4  "
-            f"{seconds * 1e3:8.1f} ms  bit-exact={bit_exact}"
-        )
-
     # ------------------------------------------------- carried-heavy batch
     # the NumPy leg across the full workers × partitions grid against the
     # sequential Python oracle — the workload class that used to fall back
@@ -580,7 +531,6 @@ def run_grid(rows: int, repeats: int) -> dict:
         },
         "baseline_sequential_python_seconds": baseline_seconds,
         "grid": points,
-        "process_grid": process_points,
         "carried_baseline_sequential_python_seconds": carried_base_seconds,
         "carried_grid": carried_points,
         "adaptive_grid": adaptive_points,
@@ -660,41 +610,6 @@ def run_grid(rows: int, repeats: int) -> dict:
     py_seq = seconds_at("python", 1, 1)
     if py_seq is not None and c_seq is not None:
         report["c_over_python_sequential"] = py_seq / c_seq
-    proc_py = next(
-        (p["seconds"] for p in process_points if p["backend"] == "python"),
-        None,
-    )
-    if py_seq is not None and proc_py is not None:
-        speedup = py_seq / proc_py
-        report["process_speedup_4workers_vs_sequential_python"] = speedup
-        strict = os.environ.get("LMFAO_BENCH_STRICT", "1") != "0"
-        if cores < 4:
-            report["process_speedup_assertion"] = (
-                f"skipped: only {cores} usable core(s), need >= 4"
-            )
-            print(
-                f"NOTE: process-executor >=3x gate skipped — only {cores} "
-                f"usable core(s), need >= 4"
-            )
-        elif rows < _NUMPY_ASSERT_MIN_ROWS:
-            report["process_speedup_assertion"] = (
-                f"skipped: {rows} rows < {_NUMPY_ASSERT_MIN_ROWS} (smoke run)"
-            )
-        elif speedup < 3.0 and not strict:
-            report["process_speedup_assertion"] = (
-                f"FAILED (non-strict): {speedup:.2f}x"
-            )
-            print(
-                f"WARNING: process-executor speedup {speedup:.2f}x < 3x "
-                f"(non-strict mode)"
-            )
-        else:
-            assert speedup >= 3.0, (
-                f"python backend under executor='process' workers=4 only "
-                f"{speedup:.2f}x over sequential Python on {cores} cores "
-                f"(expected >= 3x)"
-            )
-            report["process_speedup_assertion"] = f"passed: {speedup:.2f}x"
     np_seq = seconds_at("numpy", 1, 1)
     if py_seq is not None and np_seq is not None:
         speedup = py_seq / np_seq
@@ -804,9 +719,6 @@ def main(argv: list[str] | None = None) -> int:
     speedup = report.get("c_speedup_4x4_vs_sequential_c")
     if speedup is not None:
         print(f"C 4x4 vs sequential C: {speedup:.2f}x")
-    speedup = report.get("process_speedup_4workers_vs_sequential_python")
-    if speedup is not None:
-        print(f"process executor 4 workers vs sequential python: {speedup:.2f}x")
     ratio = report.get("adaptive_numpy_worst_vs_sequential_numpy")
     if ratio is not None:
         print(f"adaptive partitioned numpy vs sequential numpy: {ratio:.2f}x")

@@ -875,11 +875,9 @@ def compile_c_groups(
 
     Returns the native groups in the
     :attr:`~repro.core.engine.CompiledBatch.native_groups` layout, each
-    with its ``fn`` bound. Shared by the engine's compile step and the
-    per-process warm-up of the multiprocess executor
-    (:mod:`repro.core.mpexec`), which recompiles the same plans once per
-    worker process — compiled code cannot cross a process boundary, plans
-    can. gcc runs only for sources this process has not compiled before.
+    with its ``fn`` bound. The engine's compile step (``backend="c"`` and
+    the C candidates of ``backend="auto"``) is the one caller. gcc runs
+    only for sources this process has not compiled before.
     """
     if not gcc_available():
         raise PlanError("backend='c' requires gcc on PATH")

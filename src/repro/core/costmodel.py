@@ -24,9 +24,8 @@ partition count       ``min(config.partitions, rows // threshold,
                       that can actually run them (``threshold == 0``
                       disables the model: forced fan-out, used by the
                       differential test grids);
-concurrency           1 when the backend is GIL-bound under the thread
-                      executor (pure Python), else
-                      ``min(workers, usable cores)``;
+concurrency           1 when the backend is GIL-bound (pure Python),
+                      else ``min(workers, usable cores)``;
 group-by strategy     per hash emission: **sort** (packed value sort +
                       reduceat) when the estimated distinct-key count is
                       a large fraction of the grouped items **and** the
@@ -256,12 +255,11 @@ def effective_partitions(
 def effective_concurrency(config: "EngineConfig") -> int:
     """Threads that can make simultaneous progress under this config.
 
-    Pure-Python execution under the thread executor is GIL-serialised —
-    partitioning it can only lose. The C and NumPy backends release the
-    GIL inside native calls / large kernels, and the process executor
-    sidesteps it entirely; they scale up to ``min(workers, cores)``.
+    Pure-Python execution is GIL-serialised — partitioning it can only
+    lose. The C and NumPy backends release the GIL inside native calls /
+    large kernels; they scale up to ``min(workers, cores)``.
     """
-    if config.executor == "thread" and config.backend == "python":
+    if config.backend == "python":
         return 1
     return min(max(1, config.workers), usable_cores())
 

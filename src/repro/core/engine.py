@@ -19,6 +19,18 @@ relations instead (``push_shared_predicates``).
 Every optimisation is individually switchable through
 :class:`EngineConfig`, which is what the ablation benchmarks exercise.
 
+Groups execute in-process. Every group run — the sequential loop, the
+thread scheduler's prepare task (task and domain parallelism on one
+shared pool, paper §2.3/§4), the incremental maintainer and the serving
+layer's view-cache refresh — is prepared by one step,
+:meth:`LMFAO._prepare_group`: pick the backend from the row count of the
+trie the group runs over, then cut that trie into partitions. The
+partitions run through
+:func:`~repro.core.runtime.execute_plan_partitioned`, or fan out on the
+scheduler's pool and merge with
+:func:`~repro.core.runtime.merge_partial_outputs`; either way the merge
+order is the partition order, so every path is bit-identical.
+
 Execution is **snapshot-isolated**: all trie/relation state lives in
 immutable versioned :class:`~repro.core.snapshot.Snapshot` objects held by
 a :class:`~repro.core.snapshot.SnapshotStore`; :meth:`LMFAO.run` pins the
@@ -34,7 +46,6 @@ serving layer (:mod:`repro.serve`) is built on exactly these two seams.
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
@@ -54,7 +65,6 @@ from repro.core.runtime import (
     node_trie,
     partition_tries,
     prepare_bindings,
-    trie_cache_key,
 )
 from repro.core.viewgen import ViewGenerator, ViewPlan
 from repro.data.catalog import Database
@@ -167,7 +177,7 @@ class EngineConfig:
         ones run compiled C when the group has a C implementation, else
         NumPy — see :func:`repro.core.costmodel.choose_backend`; gcc
         missing is not an error, the C candidates just stay absent).
-        ``"auto"`` requires ``adaptive=True`` and the thread executor.
+        ``"auto"`` requires ``adaptive=True``.
         The C backend's ctypes calls release the GIL and the generated
         functions are reentrant, so ``workers > 1`` gives real
         multicore scaling there; NumPy releases the GIL inside large
@@ -187,21 +197,6 @@ class EngineConfig:
         and re-decided per execution — they never enter compiled
         artefacts or the serving layer's structural fingerprints
         (:class:`EngineConfig` itself, including this flag, does);
-    ``executor`` (str, default "thread")
-        must be ``"thread"`` or ``"process"``. ``"thread"`` keeps both
-        parallelism axes on the in-process thread pool (real scaling only
-        where the backend releases the GIL). ``"process"`` routes domain
-        parallelism to a persistent pool of worker processes
-        (:mod:`repro.core.mpexec`): trie partitions travel as read-only
-        ``multiprocessing.shared_memory`` segments (never pickled),
-        workers recompile each batch's plans once per process, and
-        partials merge local-combine-then-tree-reduce — bit-identical
-        merge semantics to the sequential path. Groups that cannot ship
-        (single partition, functions that are not transportable by name)
-        transparently run in-process. Engines with ``executor="process"``
-        own OS resources; call :meth:`LMFAO.close` (or use the engine as
-        a context manager) to reclaim them deterministically.
-
     **Incremental maintenance** (see :meth:`LMFAO.maintain`; beyond the
     paper, which recomputes batches from scratch):
 
@@ -246,7 +241,6 @@ class EngineConfig:
     partitions: int = 1
     parallel_threshold: int = 8192
     backend: str = "python"
-    executor: str = "thread"
     adaptive: bool = True
     incremental_mode: str = "auto"
     incremental_cutoff: bool = True
@@ -446,50 +440,6 @@ class LMFAO:
         else:
             self.tree = build_join_tree(db.schema)
         self._snapshots = SnapshotStore(Snapshot(version=0, db=db, tries={}))
-        self._mpexec = None
-        self._mpexec_lock = threading.Lock()
-        # when a superseded version loses its last reader pin, drop its
-        # shared-memory trie segments too (no-op for the thread executor).
-        self._snapshots.add_reclaim_hook(self._reclaim_snapshot_version)
-
-    # ----------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Release owned OS resources (idempotent; engine stays queryable).
-
-        Only ``executor="process"`` engines hold any: the worker pool and
-        its shared-memory segments. Unclosed engines are also reclaimed at
-        garbage collection, but an explicit ``close()`` — or using the
-        engine as a context manager — makes the teardown deterministic.
-        """
-        with self._mpexec_lock:
-            executor, self._mpexec = self._mpexec, None
-        if executor is not None:
-            executor.close()
-
-    def __enter__(self) -> "LMFAO":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _process_executor(self):
-        """The lazily started multiprocess executor (``executor="process"``)."""
-        with self._mpexec_lock:
-            if self._mpexec is None:
-                from repro.core import mpexec
-
-                schema = self.db.schema
-                self._mpexec = mpexec.ProcessExecutor(
-                    workers=self.config.workers,
-                    backend=self.config.backend,
-                    adaptive=self.config.adaptive,
-                    share_terms=self.config.share_scan_terms,
-                    attribute_kinds={
-                        attr: schema.attribute_kind(attr).value
-                        for attr in schema.all_attributes
-                    },
-                )
-            return self._mpexec
 
     @property
     def db(self) -> Database:
@@ -502,8 +452,8 @@ class LMFAO:
         The returned object is safe to read for as long as the caller
         holds it (Python references keep it alive), but it does **not**
         hold a GC pin — use :meth:`pin_snapshot` when the version's
-        auxiliary resources (shared-memory trie segments under
-        ``executor="process"``) must survive concurrent commits.
+        auxiliary state (the serving layer's view-cache entries, which
+        snapshot GC reclaims) must survive concurrent commits.
         """
         return self._snapshots.current()
 
@@ -520,13 +470,6 @@ class LMFAO:
     def release_snapshot(self, version: int) -> None:
         """Release one :meth:`pin_snapshot` refcount; may trigger GC."""
         self._snapshots.unpin(version)
-
-    def _reclaim_snapshot_version(self, version: int) -> None:
-        """Snapshot-GC hook: unlink the dead version's shm segments."""
-        with self._mpexec_lock:
-            executor = self._mpexec
-        if executor is not None:
-            executor.drop_version(version)
 
     @property
     def _trie_cache(self) -> dict:
@@ -614,9 +557,8 @@ class LMFAO:
     def _compile_native(self, plans: list[MultiOutputPlan]):
         """Lower supported plans to C; unsupported ones stay on Python.
 
-        Delegates to :func:`repro.core.cbackend.compile_c_groups` — the
-        same entry point the multiprocess executor's per-worker warm-up
-        uses, so parent and workers compile identical native groups.
+        Delegates to :func:`repro.core.cbackend.compile_c_groups`, whose
+        process-wide cache compiles each distinct group source once.
         """
         from repro.core import cbackend
 
@@ -632,8 +574,7 @@ class LMFAO:
 
         The snapshot is pinned *before* compilation: planning statistics
         and execution read the same database version even if maintenance
-        installs a successor mid-run (the pin also keeps the version's
-        shared-memory segments mapped until the run completes).
+        installs a successor mid-run.
         """
         watch = Stopwatch()
         snapshot = self._snapshots.pin()
@@ -683,7 +624,7 @@ class LMFAO:
 
         The executed version is pinned for the duration (a caller-supplied
         snapshot gains a nested pin), so snapshot GC can never reclaim it
-        — or unlink its shared-memory segments — mid-run.
+        mid-run.
         """
         watch = watch or Stopwatch()
         config = self.config
@@ -743,7 +684,6 @@ class LMFAO:
             batch = compiled.batch
         group_times: dict[str, float] = {}
         decisions: dict[str, dict] = {}
-        concurrency = self._partition_concurrency()
         view_data: dict[str, dict] = {}
         view_group_by = {
             name: view.group_by for name, view in compiled.view_plan.views.items()
@@ -755,6 +695,21 @@ class LMFAO:
             view_data.update(seeds)
             skipped = self._skippable_groups(compiled, seeds)
 
+        def prepare(index: int):
+            """Trie → backend and partitions → cost-model decision."""
+            plan = compiled.plans[index]
+            trie = node_trie(snapshot.db, plan.node, plan.order, shared, snapshot.tries)
+            native, backend, tries = self._prepare_group(compiled, index, trie)
+            # distinct key per group; plain dict assignment is safe across
+            # the scheduler's pool threads.
+            decisions[compiled.group_plan.groups[index].name] = (
+                costmodel.group_decision(
+                    plan, trie, backend=backend, partitions=len(tries),
+                    adaptive=config.adaptive,
+                )
+            )
+            return native, tries
+
         def store_outputs(index: int, outputs: dict[str, dict]) -> None:
             for emission in compiled.plans[index].emissions:
                 if emission.kind == "view":
@@ -763,50 +718,30 @@ class LMFAO:
                     query_raw[emission.artifact] = outputs[emission.artifact]
 
         with watch.lap("execute"):
-            if config.executor == "process" and (
-                config.workers > 1 or config.partitions > 1
-            ):
-                self._run_process(
-                    compiled, view_data, view_group_by, store_outputs,
-                    group_times, snapshot, functions, shared, decisions,
-                    skipped,
-                )
-            elif config.workers > 1:
+            if config.workers > 1:
                 self._run_parallel(
-                    compiled, view_data, view_group_by, store_outputs,
-                    group_times, snapshot, functions, shared, decisions,
-                    skipped,
+                    compiled, prepare, store_outputs, view_data,
+                    view_group_by, functions, group_times, skipped,
                 )
             else:
                 for index in compiled.execution_order:
                     if index in skipped:
                         continue
-                    group = compiled.group_plan.groups[index]
-                    plan = compiled.plans[index]
                     start = time.perf_counter()
-                    trie = self._trie(plan.node, plan.order, shared, snapshot)
-                    native, backend = self._select_native(
-                        compiled, index, trie.num_rows
-                    )
-                    tries = partition_tries(
-                        plan, trie, config.partitions,
-                        config.parallel_threshold, concurrency,
-                    )
-                    decisions[group.name] = costmodel.group_decision(
-                        plan, trie, backend=backend, partitions=len(tries),
-                        adaptive=config.adaptive,
-                    )
+                    native, tries = prepare(index)
                     outputs = execute_plan_partitioned(
                         compiled.code[index],
                         native,
-                        plan,
+                        compiled.plans[index],
                         tries,
                         view_data,
                         view_group_by,
                         functions,
                     )
                     store_outputs(index, outputs)
-                    group_times[group.name] = time.perf_counter() - start
+                    group_times[compiled.group_plan.groups[index].name] = (
+                        time.perf_counter() - start
+                    )
 
         if view_seeds is not None and view_seeds.publish is not None:
             # still inside the run's snapshot pin: the version (and its
@@ -819,21 +754,19 @@ class LMFAO:
             results: dict[str, QueryResult] = {}
             producers: dict[str, str] | None = None
             for query in batch:
-                raw = query_raw[query.name]
-                if query.order_by is not None:
-                    # ordered queries finish here — once, over the full
-                    # merged raw groups — and the kernel choice lands in
-                    # the producing group's decision record (queries are
-                    # never seeded, so that group always executed).
-                    groups, strategy = topk.finish_ordered(query, raw)
-                    results[query.name] = QueryResult(query=query, groups=groups)
-                    if producers is None:
-                        producers = _query_producers(compiled)
-                    entry = decisions.get(producers.get(query.name))
-                    if entry is not None:
-                        entry.setdefault("topk", {})[query.name] = strategy
-                else:
-                    results[query.name] = _to_query_result(query, raw)
+                results[query.name], strategy = _to_query_result(
+                    query, query_raw[query.name]
+                )
+                if strategy is None:
+                    continue
+                # an ordered query's finishing kernel lands in the producing
+                # group's decision record (queries are never seeded, so
+                # that group always executed).
+                if producers is None:
+                    producers = _query_producers(compiled)
+                entry = decisions.get(producers.get(query.name))
+                if entry is not None:
+                    entry.setdefault("topk", {})[query.name] = strategy
         run = RunResult(
             results=results,
             compiled=compiled,
@@ -863,191 +796,70 @@ class LMFAO:
             return {query.name: root for query in batch}
         return assign_roots(db, self.tree, batch, override=config.root_override)
 
-    def _trie(
-        self,
-        node: str,
-        order: tuple[str, ...],
-        shared: tuple[Predicate, ...],
-        snapshot: Snapshot,
-    ) -> TrieIndex:
-        return node_trie(snapshot.db, node, order, shared, snapshot.tries)
+    def _prepare_group(
+        self, compiled: CompiledBatch, index: int, trie: TrieIndex
+    ) -> tuple[object, str, list[TrieIndex]]:
+        """One group's native implementation, backend name and trie partitions.
 
-    def _partition_concurrency(self) -> int | None:
-        """The concurrency cap :func:`partition_tries` should respect, or
-        None under ``adaptive=False`` (literal static fan-out)."""
-        if not self.config.adaptive:
-            return None
-        return costmodel.effective_concurrency(self.config)
-
-    def _select_native(self, compiled: CompiledBatch, index: int, rows: int):
-        """One group's native implementation and the backend name it runs.
+        The single group-preparation step: the engine's sequential loop
+        and thread scheduler, the incremental maintainer (full and delta
+        tries) and the serving layer's view-cache refresh (delta tries)
+        all come through here. A group therefore runs on the same backend
+        with the same cut points and merge order whoever drives it, and a
+        maintained rescan stays bit-identical to a from-scratch run under
+        the same config.
 
         Static backends return the compiled batch's artefact verbatim
         (``None`` = generated Python, also the C backend's per-plan
-        fallback); ``backend="auto"`` asks the cost model to pick per
-        group from the trie's row count — interpreted Python for tiny
-        tries, compiled C when this group has a C candidate, else NumPy.
+        fallback). ``backend="auto"`` asks the cost model to pick from the
+        row count of ``trie`` — the trie the group actually runs over:
+        interpreted Python for tiny tries, compiled C when this group has
+        a C candidate, else NumPy. ``trie`` is then split by
+        :func:`~repro.core.runtime.partition_tries`; under ``adaptive=True``
+        the fan-out is capped at the threads that can actually run the
+        partitions concurrently.
         """
         config = self.config
         if config.backend == "auto":
             c_group = compiled.c_groups[index] if compiled.c_groups else None
-            choice = costmodel.choose_backend(rows, c_group is not None)
-            if choice == "c":
-                return c_group, "c"
-            if choice == "numpy":
-                return compiled.native_groups[index], "numpy"
-            return None, "python"
-        native = compiled.native_groups[index] if compiled.native_groups else None
-        return native, (config.backend if native is not None else "python")
-
-    def _run_process(
-        self,
-        compiled: CompiledBatch,
-        view_data: dict,
-        view_group_by: dict,
-        store_outputs,
-        group_times: dict[str, float],
-        snapshot: Snapshot,
-        functions: dict[str, Function],
-        shared: tuple[Predicate, ...],
-        decisions: dict[str, dict],
-        skipped: set[int] = frozenset(),
-    ) -> None:
-        """Domain parallelism across worker processes (``executor="process"``).
-
-        Groups run in dependency order on this thread; each group that
-        partitions fans its trie partitions out to the multiprocess pool
-        via snapshot-pinned shared-memory segments
-        (:mod:`repro.core.mpexec`). A group stays in-process when it does
-        not partition (below threshold, unsafe merge, single level-0 run)
-        or references functions that cannot travel by name — both produce
-        bit-identical results to the shipped path, so the fallback is
-        purely a performance decision. The snapshot version is retained
-        for the whole run: concurrent maintenance installing successors
-        can never unlink a segment a worker still maps.
-        """
-        config = self.config
-        concurrency = self._partition_concurrency()
-        executor = self._process_executor()
-        executor.retain(snapshot.version)
-        try:
-            for index in compiled.execution_order:
-                if index in skipped:
-                    continue
-                group = compiled.group_plan.groups[index]
-                plan = compiled.plans[index]
-                start = time.perf_counter()
-                trie = self._trie(plan.node, plan.order, shared, snapshot)
-                tries = partition_tries(
-                    plan, trie, config.partitions,
-                    config.parallel_threshold, concurrency,
-                )
-                decisions[group.name] = costmodel.group_decision(
-                    plan, trie,
-                    backend=self._select_native(compiled, index, trie.num_rows)[1],
-                    partitions=len(tries),
-                    adaptive=config.adaptive,
-                )
-                outputs = self._execute_group_partitioned(
-                    compiled, index, tries, view_data, view_group_by,
-                    functions, snapshot=snapshot, shared=shared,
-                )
-                store_outputs(index, outputs)
-                group_times[group.name] = time.perf_counter() - start
-        finally:
-            executor.release(snapshot.version)
-
-    def _execute_group_partitioned(
-        self,
-        compiled: CompiledBatch,
-        index: int,
-        tries,
-        view_data: dict,
-        view_group_by: dict,
-        functions: dict[str, Function],
-        snapshot: Snapshot | None = None,
-        shared: tuple[Predicate, ...] = (),
-        memo=None,
-    ) -> dict[str, dict]:
-        """One group over pre-partitioned tries — the single offload point.
-
-        Ships the partitions to the process pool when ``executor="process"``,
-        the trie actually split, the plan's functions travel by name, and a
-        snapshot identifies the segment (version + trie cache key);
-        otherwise runs in-process via :func:`execute_plan_partitioned`.
-        Both :meth:`execute` and the incremental maintainer
-        (:meth:`repro.incremental.maintain.MaintainedBatch._execute`) come
-        through here, so the two always take the same path per plan and the
-        merged float association is identical — a maintained rescan stays
-        bit-identical to a from-scratch run under the same config.
-        ``memo`` (a :class:`~repro.core.runtime.BindingMemo`) lets the
-        maintainer reuse in-process binding preparation across rounds.
-        """
-        from repro.core import mpexec
-
-        plan = compiled.plans[index]
-        native, _backend = self._select_native(
-            compiled, index, sum(t.num_rows for t in tries)
+            backend = costmodel.choose_backend(trie.num_rows, c_group is not None)
+            if backend == "c":
+                native = c_group
+            elif backend == "numpy":
+                native = compiled.native_groups[index]
+            else:
+                native = None
+        else:
+            native = compiled.native_groups[index] if compiled.native_groups else None
+            backend = config.backend if native is not None else "python"
+        concurrency = (
+            costmodel.effective_concurrency(config) if config.adaptive else None
         )
-        if (
-            snapshot is not None
-            and self.config.executor == "process"
-            and len(tries) > 1
-            and mpexec.plan_transportable(plan, functions)
-        ):
-            executor = self._process_executor()
-            executor.retain(snapshot.version)
-            try:
-                export = executor.export(
-                    snapshot.version,
-                    trie_cache_key(snapshot.db, plan.node, plan.order, shared),
-                    tries,
-                )
-                needed_views = {b.view for b in plan.bindings}
-                return executor.execute_group(
-                    compiled,
-                    index,
-                    export,
-                    {v: view_data[v] for v in needed_views if v in view_data},
-                    {v: view_group_by[v] for v in needed_views},
-                    {
-                        name: functions[name]
-                        for name in mpexec.plan_function_names(plan)
-                    },
-                )
-            finally:
-                executor.release(snapshot.version)
-        return execute_plan_partitioned(
-            compiled.code[index],
-            native,
-            plan,
-            tries,
-            view_data,
-            view_group_by,
-            functions,
-            memo,
+        tries = partition_tries(
+            compiled.plans[index], trie, config.partitions,
+            config.parallel_threshold, concurrency,
         )
+        return native, backend, tries
 
     def _run_parallel(
         self,
         compiled: CompiledBatch,
+        prepare,
+        store_outputs,
         view_data: dict,
         view_group_by: dict,
-        store_outputs,
-        group_times: dict[str, float],
-        snapshot: Snapshot,
         functions: dict[str, Function],
-        shared: tuple[Predicate, ...],
-        decisions: dict[str, dict],
+        group_times: dict[str, float],
         skipped: set[int] = frozenset(),
     ) -> None:
         """Event-driven scheduler over both parallelism axes.
 
         **Task parallelism**: a group is launched as soon as its
         dependencies complete. **Domain parallelism**: a launched group
-        first runs a *prepare* task (trie build + partitioning + one-time
-        view marshalling), then one task per trie partition; its partial
-        outputs are merged in partition order on the scheduler thread.
+        first runs a *prepare* task (``prepare(index)`` — trie, backend and
+        partitions — plus one-time view marshalling), then one task per
+        trie partition; its partial outputs are merged in partition order
+        on the scheduler thread.
         All tasks — prepare and partition, across all in-flight groups —
         share one ``workers``-sized pool, and no task ever blocks on
         another, so the pool cannot deadlock. The scheduler itself sleeps
@@ -1057,7 +869,6 @@ class LMFAO:
         all groups per wake-up — and any task exception propagates out of
         the run immediately, cancelling work that has not started.
         """
-        config = self.config
         num_groups = compiled.num_groups
         remaining = {
             i: set(compiled.group_plan.dependencies.get(i, ()))
@@ -1073,28 +884,14 @@ class LMFAO:
         outstanding: dict[int, int] = {}  # index -> partitions still running
         started: dict[int, float] = {}
 
-        concurrency = self._partition_concurrency()
-
-        def prepare(index: int):
+        def prepare_task(index: int):
             started[index] = time.perf_counter()
-            plan = compiled.plans[index]
-            trie = self._trie(plan.node, plan.order, shared, snapshot)
-            native, backend = self._select_native(compiled, index, trie.num_rows)
-            tries = partition_tries(
-                plan, trie, config.partitions,
-                config.parallel_threshold, concurrency,
-            )
-            # distinct key per group; plain dict assignment is safe across
-            # the pool's threads.
-            decisions[compiled.group_plan.groups[index].name] = (
-                costmodel.group_decision(
-                    plan, trie, backend=backend, partitions=len(tries),
-                    adaptive=config.adaptive,
-                )
-            )
+            native, tries = prepare(index)
             prepared = None
             if len(tries) > 1:
-                prepared = prepare_bindings(native, plan, view_data, view_group_by)
+                prepared = prepare_bindings(
+                    native, compiled.plans[index], view_data, view_group_by
+                )
             return native, tries, prepared
 
         def run_partition(index: int, native, trie, prepared):
@@ -1109,11 +906,11 @@ class LMFAO:
                 prepared_bindings=prepared,
             )
 
-        pool = ThreadPoolExecutor(max_workers=config.workers)
+        pool = ThreadPoolExecutor(max_workers=self.config.workers)
 
         def launch(index: int) -> None:
             launched.add(index)
-            pending[pool.submit(prepare, index)] = ("prepare", index, None)
+            pending[pool.submit(prepare_task, index)] = ("prepare", index, None)
 
         try:
             for index in range(num_groups):
@@ -1189,21 +986,10 @@ def _validate_execution_config(config: EngineConfig) -> None:
             f"EngineConfig.backend must be one of 'python', 'numpy', 'c', "
             f"'auto', got {config.backend!r}"
         )
-    if config.executor not in {"thread", "process"}:
-        raise PlanError(
-            f"EngineConfig.executor must be one of 'thread', 'process', "
-            f"got {config.executor!r}"
-        )
     if config.backend == "auto" and not config.adaptive:
         raise PlanError(
             "EngineConfig.backend='auto' is a cost-model decision and "
             "requires adaptive=True"
-        )
-    if config.backend == "auto" and config.executor == "process":
-        raise PlanError(
-            "EngineConfig.backend='auto' is not available with "
-            "executor='process' (worker processes warm one backend per "
-            "batch); pick an explicit backend"
         )
 
 
@@ -1275,24 +1061,26 @@ def _topological_order(group_plan: GroupPlan) -> list[int]:
     return order
 
 
-def _to_query_result(query: Query, raw: dict) -> QueryResult:
+def _to_query_result(query: Query, raw: dict) -> tuple[QueryResult, str | None]:
     """Finish one query's raw group store into its published result.
 
     This is the single seam where ordered queries are ranked and
     truncated (see :mod:`repro.core.topk`) — both the engine's collect
     phase and the incremental maintainer's result refresh go through it,
     so ordered results are bit-identical no matter which path produced
-    the raw store.
+    the raw store. Returns the result together with the top-k finishing
+    kernel an ordered query used (None for unordered queries), which the
+    engine records in the producing group's decision entry.
     """
     if query.order_by is not None:
-        groups, _strategy = topk.finish_ordered(query, raw)
-        return QueryResult(query=query, groups=groups)
+        groups, strategy = topk.finish_ordered(query, raw)
+        return QueryResult(query=query, groups=groups), strategy
     groups: dict[tuple, tuple[float, ...]] = {}
     for key, values in raw.items():
         if not isinstance(key, tuple):
             key = (key,)
         groups[key] = tuple(float(v) for v in values)
-    return QueryResult(query=query, groups=groups)
+    return QueryResult(query=query, groups=groups), None
 
 
 def _query_producers(compiled: CompiledBatch) -> dict[str, str]:

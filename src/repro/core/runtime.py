@@ -370,27 +370,15 @@ def apply_predicates(relation: Relation, predicates) -> Relation:
     return relation.filter(mask)
 
 
-def trie_cache_key(db, node: str, order: tuple[str, ...], shared) -> tuple:
-    """The canonical trie-cache key: ``(node, order, local pred signatures)``.
-
-    Defined once and shared by every consumer — the engine's cross-run
-    cache, the incremental maintainer's per-handle cache (which seeds from
-    the engine's), and the process executor's shared-memory segment store
-    (which keys exported tries by ``(snapshot version, this key,
-    partitions)``).
-    """
-    local = local_predicates(db.schema.relation(node).attribute_names, shared)
-    return (node, order, tuple(p.signature for p in local))
-
-
 def node_trie(db, node: str, order: tuple[str, ...], shared, cache: dict) -> TrieIndex:
     """The cached trie index for one node under pushed-down predicates.
 
-    The cache key is :func:`trie_cache_key` — defined there, once, for
-    every consumer.
+    The cache key is ``(node, order, local predicate signatures)``, shared
+    by the engine's per-snapshot memo and the incremental maintainer
+    (whose successor snapshots carry unchanged nodes' entries forward).
     """
     local = local_predicates(db.schema.relation(node).attribute_names, shared)
-    key = trie_cache_key(db, node, order, shared)
+    key = (node, order, tuple(p.signature for p in local))
     trie = cache.get(key)
     if trie is None:
         trie = TrieIndex(apply_predicates(db.relation(node), local), order)
@@ -573,12 +561,14 @@ def execute_plan_partitioned(
 ) -> dict[str, dict]:
     """Run one compiled group over trie partitions (serially) and merge.
 
-    The sequential executor and the incremental maintainer both refresh
-    groups through this path, so a partitioned configuration produces
-    bit-identical state no matter which of them ran the group. The parallel
-    engine scheduler fans the same per-partition calls out across its
-    worker pool and merges with :func:`merge_partial_outputs` itself.
-    ``memo`` (the maintainer's) reuses prepared bindings across runs.
+    The engine's sequential loop, the incremental maintainer and the
+    server's view-cache refresh run every group through this path over
+    the tries :meth:`repro.core.engine.LMFAO._prepare_group` cut, so a
+    partitioned configuration produces bit-identical state no matter
+    which of them ran the group. The engine's thread scheduler fans the
+    same per-partition calls out across its worker pool and merges with
+    :func:`merge_partial_outputs` itself. ``memo`` (the maintainer's)
+    reuses prepared bindings across runs.
     """
     if len(tries) == 1 and memo is None:
         return execute_plan(

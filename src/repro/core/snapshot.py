@@ -37,11 +37,11 @@ it is both *superseded* (a newer version was installed) and *unpinned*
 reclaimable, the store drops its own reference — Python frees the
 relations and tries once the last reader lets go — and fires every
 registered :meth:`SnapshotStore.add_reclaim_hook` callback with the dead
-version number, outside the store lock. The engine uses that hook to
-unlink the version's shared-memory trie segments under
-``executor="process"`` (:meth:`repro.core.mpexec.ProcessExecutor.drop_version`),
-so a sustained write workload holds a bounded number of live versions
-instead of accumulating one snapshot (and one segment set) per commit.
+version number, outside the store lock. The serving layer's view cache
+uses that hook to drop the dead version's entries
+(:meth:`repro.serve.viewcache.ViewCache.drop_version`), so a sustained
+write workload holds a bounded number of live versions instead of
+accumulating one snapshot (and one set of cached views) per commit.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ class SnapshotStore:
         """Register ``hook(version)``, called once per reclaimed version.
 
         Hooks fire outside the store lock, on whichever thread's
-        ``install``/``unpin`` made the version unreachable. The engine
-        wires the process executor's segment drop through this.
+        ``install``/``unpin`` made the version unreachable. The serving
+        layer wires its view cache's per-version drop through this.
         """
         with self._lock:
             self._reclaim_hooks.append(hook)

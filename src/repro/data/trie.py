@@ -87,37 +87,6 @@ class TrieIndex:
         """
         return cls(relation, order, presorted=True)
 
-    @classmethod
-    def from_shared_parts(
-        cls,
-        relation: Relation,
-        order: Sequence[str],
-        levels: "list[TrieLevel]",
-    ) -> "TrieIndex":
-        """Assemble an index from an already-sorted relation and prebuilt levels.
-
-        The shared-memory transport path (:mod:`repro.core.mpexec`): a
-        worker process maps the parent's flat level arrays and sorted
-        column buffers read-only and reassembles the index without paying
-        the sort *or* the run-boundary scan — zero copies, zero pickling
-        of relations. The caller owns the buffers' lifetime (the mapped
-        segment must outlive the index). All derived caches (prefix sums,
-        level lists, function arrays) start empty and are recomputed per
-        process, which is exactly the per-process warm-up the executor
-        amortises across runs.
-        """
-        self = cls.__new__(cls)
-        self.order = tuple(order)
-        self.relation = relation
-        self._levels = list(levels)
-        self._prefix_sums = {}
-        self._level_lists = {}
-        self._level_functions = {}
-        self._prefix_lists = {}
-        self._partition_cache = {}
-        self._np_cache = {}
-        return self
-
     def _build_levels(self) -> list[TrieLevel]:
         n = self.relation.num_rows
         levels: list[TrieLevel] = []

@@ -90,9 +90,9 @@ from repro.core.runtime import (
     BindingMemo,
     apply_predicates,
     debug_checks_enabled,
+    execute_plan_partitioned,
     local_predicates,
     node_trie,
-    partition_tries,
 )
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
@@ -215,7 +215,7 @@ class MaintainedBatch:
                 view_data, query_raw,
             )
         results = {
-            query.name: _to_query_result(query, query_raw[query.name])
+            query.name: _to_query_result(query, query_raw[query.name])[0]
             for query in compiled.batch
         }
         self._state = _MaintainedVersion(snapshot, view_data, query_raw, results)
@@ -430,7 +430,7 @@ class MaintainedBatch:
             if query.order_by is not None:
                 groups = refresh_ordered(query, old, raw, keys)
             elif old is None or keys is None:
-                groups = _to_query_result(query, raw).groups
+                groups = _to_query_result(query, raw)[0].groups
             else:
                 groups = refresh_unordered(query, old.groups, raw, keys)
             results[query.name] = QueryResult(query=query, groups=groups)
@@ -526,9 +526,7 @@ class MaintainedBatch:
             snapshot.db, plan.node, plan.order,
             self.compiled.shared_predicates, snapshot.tries,
         )
-        return self._execute(
-            index, trie, view_data, snapshot=snapshot, transient=transient
-        )
+        return self._execute(index, trie, view_data, transient=transient)
 
     def _run_delta(
         self, index: int, delta: RelationDelta, view_data: dict
@@ -552,43 +550,31 @@ class MaintainedBatch:
         index: int,
         trie: TrieIndex,
         view_data: Mapping[str, dict],
-        snapshot: Snapshot | None = None,
         transient: tuple[str, ...] = (),
     ) -> dict[str, dict]:
-        """Drive one group through the engine's partitioned execution path.
+        """Run one group over ``trie`` through the engine's preparation step.
 
-        Under a partitioned configuration the maintainer splits and merges
-        exactly like the batch executor (same cut points, same partition
-        order, same :meth:`LMFAO._execute_group_partitioned` offload
-        decision — full rescans under ``executor="process"`` ship to the
-        worker pool with the same merge association), so a rescan stays
-        bit-identical to a from-scratch run with the same
-        :class:`EngineConfig`. Delta tries are ad hoc (built over the
-        inserted tuples, not addressable by a snapshot trie cache key),
-        so the numeric path passes ``snapshot=None`` and always runs
-        in-process — they are usually below ``parallel_threshold`` anyway.
-        ``view_data`` is the successor version's store being built: a
-        downstream group reads its upstream views refreshed-this-round.
-        Bindings go through a :class:`BindingMemo` over the group's kept
-        forms, so a view left untouched since the group's last run is not
-        marshalled again.
+        :meth:`LMFAO._prepare_group` picks the backend from ``trie``'s row
+        count and splits it exactly like the batch executor (same cut
+        points, same partition order, same merge association), so a
+        rescan stays bit-identical to a from-scratch run with the same
+        :class:`EngineConfig`. ``view_data`` is the successor version's
+        store being built: a downstream group reads its upstream views
+        refreshed-this-round. Bindings go through a :class:`BindingMemo`
+        over the group's kept forms, so a view left untouched since the
+        group's last run is not marshalled again.
         """
         compiled = self.compiled
-        plan = compiled.plans[index]
-        tries = partition_tries(
-            plan, trie, self.config.partitions, self.config.parallel_threshold,
-            self._engine._partition_concurrency(),
-        )
-        return self._engine._execute_group_partitioned(
-            compiled,
-            index,
+        native, _backend, tries = self._engine._prepare_group(compiled, index, trie)
+        return execute_plan_partitioned(
+            compiled.code[index],
+            native,
+            compiled.plans[index],
             tries,
             view_data,
             self._view_group_by,
             compiled.functions,
-            snapshot=snapshot,
-            shared=compiled.shared_predicates,
-            memo=BindingMemo(self._binding_forms.setdefault(index, {}), transient),
+            BindingMemo(self._binding_forms.setdefault(index, {}), transient),
         )
 
     def _adopt_outputs(

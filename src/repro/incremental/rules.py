@@ -44,7 +44,7 @@ def refresh_unordered(query, old_groups, new_raw, dirty_keys):
             float(v) for v in values
         )
     if debug_checks_enabled():
-        full = _to_query_result(query, new_raw).groups
+        full = _to_query_result(query, new_raw)[0].groups
         assert list(groups.items()) == list(full.items()), (
             f"refresh_unordered({query.name}) diverged from the full finish"
         )

@@ -9,25 +9,12 @@ shared by the optimiser, so names must be unique per behaviour (the
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.util.errors import QueryError
-
-#: process-wide name → live Function map (weak: does not pin instances).
-#: This is what makes functions *transportable by name*: the multiprocess
-#: executor pickles a Function as just its name (the registry contract says
-#: names are unique per behaviour), and :func:`resolve_function` restores
-#: the live object on the other side — from this map when the instance
-#: exists in the receiving process, or by reconstruction for the built-ins
-#: and the mechanically derived ``ind[...]`` indicators.
-_LIVE_FUNCTIONS: "weakref.WeakValueDictionary[str, Function]" = (
-    weakref.WeakValueDictionary()
-)
-
 
 @dataclass(frozen=True)
 class Function:
@@ -48,17 +35,6 @@ class Function:
     def __post_init__(self) -> None:
         if not self.name:
             raise QueryError("function name must be non-empty")
-        # first creation wins — names are unique per behaviour, so keeping
-        # the earliest live instance is sound and keeps resolve stable
-        if _LIVE_FUNCTIONS.get(self.name) is None:
-            _LIVE_FUNCTIONS[self.name] = self
-
-    def __reduce__(self):
-        # Pickle by name: ``vectorized`` is usually a lambda (unpicklable),
-        # and equality is by name anyway. Unpickling resolves the live
-        # instance or reconstructs built-ins/indicators — the transport the
-        # process-parallel executor (repro.core.mpexec) relies on.
-        return (resolve_function, (self.name,))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """Apply to a column (or scalar) and return float64 results."""
@@ -103,58 +79,6 @@ def indicator(op: str, threshold: float) -> Function:
     fn = ops[op]
     compact = repr(float(threshold)) if threshold != int(threshold) else str(int(threshold))
     return Function(f"ind[{op}{compact}]", lambda x, _fn=fn: _fn(x).astype(np.float64))
-
-
-_INDICATOR_OPS = ("<=", ">=", "==", "!=", "<", ">")  # longest-match first
-
-
-def _parse_indicator_name(name: str) -> Function | None:
-    """Reconstruct an ``ind[<op><threshold>]`` function from its name."""
-    if not (name.startswith("ind[") and name.endswith("]")):
-        return None
-    body = name[4:-1]
-    for op in _INDICATOR_OPS:
-        if body.startswith(op):
-            try:
-                return indicator(op, float(body[len(op):]))
-            except (ValueError, QueryError):
-                return None
-    return None
-
-
-def resolve_function(name: str) -> Function:
-    """The live :class:`Function` for ``name`` (the unpickle counterpart).
-
-    Resolution order: a live instance in this process (covers every
-    function created here, including user registrations inherited across
-    ``fork``), then the built-ins, then mechanical reconstruction of
-    ``ind[...]`` indicator names. Raises :class:`QueryError` for names
-    that cannot be restored — the process executor checks
-    :func:`transportable` *before* shipping work, so this error means a
-    caller bypassed that check.
-    """
-    live = _LIVE_FUNCTIONS.get(name)
-    if live is not None:
-        return live
-    restored = _parse_indicator_name(name)
-    if restored is not None:
-        return restored
-    raise QueryError(
-        f"function {name!r} cannot be reconstructed in this process: only "
-        f"built-ins, indicators and functions created in (or inherited by) "
-        f"the process resolve by name"
-    )
-
-
-def transportable(fn: Function) -> bool:
-    """Whether ``fn`` survives pickle-by-name into a *fresh* process.
-
-    True for the built-ins and for ``ind[...]`` indicators — the functions
-    every parsed query and folded predicate uses. Custom lambdas resolve
-    only where the instance (or a forked copy) already lives, so the
-    process executor keeps groups using them on the scheduler process.
-    """
-    return fn.name in ("id", "one", "sq") or _parse_indicator_name(fn.name) is not None
 
 
 class FunctionRegistry:

@@ -20,8 +20,8 @@ engine for serving heavy concurrent traffic:
 * **snapshot-isolated reads** — :meth:`run` / :meth:`submit` pin the
   engine's current :class:`~repro.core.snapshot.Snapshot` at entry and
   release it on completion; the pin refcount both isolates the read from
-  concurrent commits and keeps the version (and its shared-memory trie
-  segments under ``executor="process"``) alive for snapshot GC;
+  concurrent commits and keeps the version (and its view-cache entries)
+  alive for snapshot GC;
 * **group-committed writes** — :meth:`apply` and maintained-handle writes
   enqueue normalised deltas on a bounded write-ahead queue
   (:class:`~repro.serve.writequeue.WriteQueue`); a single committer
@@ -92,7 +92,7 @@ from repro.core.engine import (
     RunResult,
     ViewSeeds,
 )
-from repro.core.runtime import estimate_view_bytes, partition_tries
+from repro.core.runtime import estimate_view_bytes, execute_plan_partitioned
 from repro.core.runtime import apply_predicates, local_predicates
 from repro.core.snapshot import Snapshot
 from repro.data.catalog import Database
@@ -247,8 +247,8 @@ class AggregateServer:
         """Execute a batch synchronously against the current snapshot.
 
         Pins the snapshot at entry (released on completion — the GC
-        refcount that keeps the version and its shm segments alive for
-        the whole read), then resolves the plan: a structural cache hit
+        refcount that keeps the version and its view-cache entries alive
+        for the whole read), then resolves the plan: a structural cache hit
         skips compilation entirely (``"compile"`` is absent from the
         result's timings) and re-binds the request's constants; a miss
         compiles and populates the cache. Safe from any thread.
@@ -603,17 +603,13 @@ class AggregateServer:
                 inserts,
                 local_predicates(inserts.attribute_names, updater.shared),
             )
-            trie = TrieIndex(relation, plan.order)
-            tries = partition_tries(
-                plan,
-                trie,
-                self.engine.config.partitions,
-                self.engine.config.parallel_threshold,
-                self.engine._partition_concurrency(),
+            native, _backend, tries = self.engine._prepare_group(
+                compiled, updater.group_index, TrieIndex(relation, plan.order)
             )
-            outputs = self.engine._execute_group_partitioned(
-                compiled,
-                updater.group_index,
+            outputs = execute_plan_partitioned(
+                compiled.code[updater.group_index],
+                native,
+                plan,
                 tries,
                 consumed_data,
                 {
@@ -621,8 +617,6 @@ class AggregateServer:
                     for name, view in compiled.view_plan.views.items()
                 },
                 updater.functions,
-                snapshot=None,
-                shared=updater.shared,
             )
             merged, _changed = MaintainedBatch._merge_delta_outputs(
                 entry.data, outputs[updater.view_name]
@@ -754,9 +748,9 @@ class AggregateServer:
         refused with a clear ``PlanError`` (including writers that were
         *blocking* for queue space — they are woken, not left hanging),
         and so are new submissions. A second (or concurrent) ``close()``
-        is a no-op. Finally drains the request pool and releases the
-        engine's owned OS resources (the ``executor="process"`` worker
-        pool and its shared-memory segments, when configured).
+        is a no-op. Finally drains the request pool and detaches the view
+        cache's snapshot-reclaim hook; the engine itself owns no OS
+        resources and stays usable.
         """
         with self._lock:
             if self._closed:
@@ -767,7 +761,6 @@ class AggregateServer:
         if self._view_reclaim_hook is not None:
             self.engine._snapshots.remove_reclaim_hook(self._view_reclaim_hook)
             self._view_reclaim_hook = None
-        self.engine.close()
 
     def __enter__(self) -> "AggregateServer":
         return self

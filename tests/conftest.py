@@ -5,14 +5,9 @@ as the *default* engine configuration by exporting::
 
     LMFAO_TEST_WORKERS=4 LMFAO_TEST_PARTITIONS=4 LMFAO_TEST_PARALLEL_THRESHOLD=0
 
-the NumPy-backend leg makes the vectorized backend the default with::
+and the NumPy-backend leg makes the vectorized backend the default with::
 
     LMFAO_TEST_BACKEND=numpy
-
-and the multiprocess leg routes domain parallelism to worker processes
-with::
-
-    LMFAO_TEST_EXECUTOR=process
 
 Those variables rewrite the corresponding :class:`EngineConfig` defaults
 below, so every test that does not pin its own execution knobs exercises
@@ -75,9 +70,6 @@ def _override_engine_defaults() -> None:
     backend = os.environ.get("LMFAO_TEST_BACKEND")
     if backend:
         overrides["backend"] = backend
-    executor = os.environ.get("LMFAO_TEST_EXECUTOR")
-    if executor:
-        overrides["executor"] = executor
     adaptive = os.environ.get("LMFAO_TEST_ADAPTIVE")
     if adaptive is not None:
         overrides["adaptive"] = adaptive not in {"0", "false", ""}
@@ -114,39 +106,19 @@ _override_view_cache_default()
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _no_shared_memory_leaks():
-    """Fail the session if any shared-memory segment outlives its engine.
-
-    The multiprocess executor (:mod:`repro.core.mpexec`) names every
-    segment it creates with the ``lmfao_`` prefix and tracks them in a
-    process-wide registry until unlinked. After the whole suite has run
-    (and engines have been closed or garbage-collected), both the
-    registry and the kernel's shm namespace must be free of this
-    process's segments — a stray entry is a lifecycle bug, not noise.
-    """
-    import glob
-
-    shm_dir = "/dev/shm"
-    baseline = (
-        set(glob.glob(os.path.join(shm_dir, "lmfao_*")))
-        if os.path.isdir(shm_dir)
-        else set()
-    )
+def _no_view_cache_orphans():
+    """Fail the session if any live view cache holds entries for a
+    snapshot version its store already reclaimed (a reclaim-hook
+    lifecycle bug, not noise)."""
     yield
     import gc
 
-    from repro.core import mpexec
+    from repro.serve.viewcache import live_caches
 
     gc.collect()
-    leaked = mpexec.active_segment_names()
-    assert leaked == [], f"leaked shared-memory segments: {leaked}"
-    from repro.serve.viewcache import live_caches
 
     for cache in live_caches():
         cache.check_no_orphans()
-    if os.path.isdir(shm_dir):
-        stray = set(glob.glob(os.path.join(shm_dir, "lmfao_*"))) - baseline
-        assert not stray, f"stray /dev/shm segments after the suite: {stray}"
 
 
 @pytest.fixture(scope="session")

@@ -114,7 +114,7 @@ def test_engine_run_records_partition_downgrade():
     # knobs pinned: the CI legs rewrite EngineConfig defaults
     config = EngineConfig(
         workers=1, partitions=4, parallel_threshold=8192,
-        backend="numpy", executor="thread",
+        backend="numpy",
     )
     run = LMFAO(db, config).run(batch)
     assert run.decisions
@@ -123,7 +123,7 @@ def test_engine_run_records_partition_downgrade():
         db,
         EngineConfig(
             workers=1, partitions=4, parallel_threshold=0,
-            backend="numpy", executor="thread",
+            backend="numpy",
         ),
     ).run(batch)
     assert any(d["partitions"] == 4 for d in forced.decisions.values())
@@ -131,16 +131,16 @@ def test_engine_run_records_partition_downgrade():
 
 
 def test_effective_concurrency_gil_and_cores():
-    # pure Python under the thread executor is GIL-serialised
+    # pure Python is GIL-serialised
     assert effective_concurrency(
-        EngineConfig(workers=8, backend="python", executor="thread")
+        EngineConfig(workers=8, backend="python")
     ) == 1
     cores = costmodel.usable_cores()
     assert effective_concurrency(
         EngineConfig(workers=8, backend="numpy")
     ) == min(8, cores)
     assert (
-        effective_concurrency(EngineConfig(workers=2, executor="process"))
+        effective_concurrency(EngineConfig(workers=2, backend="c"))
         == min(2, cores)
     )
 
@@ -279,7 +279,7 @@ def test_run_decisions_pick_sort_for_high_cardinality_group_by():
     run = LMFAO(
         db,
         EngineConfig(
-            workers=1, partitions=1, backend="numpy", executor="thread"
+            workers=1, partitions=1, backend="numpy"
         ),
     ).run(batch)
     chosen = [
@@ -298,7 +298,7 @@ def test_adaptive_off_without_override_is_static_hash():
         db,
         EngineConfig(
             workers=1, partitions=1, backend="numpy",
-            executor="thread", adaptive=False,
+            adaptive=False,
         ),
     ).run(batch)
     for decision in run.decisions.values():
@@ -322,7 +322,7 @@ def test_auto_backend_runs_and_records_choice():
     run = LMFAO(
         db,
         EngineConfig(
-            workers=1, partitions=1, backend="auto", executor="thread"
+            workers=1, partitions=1, backend="auto"
         ),
     ).run(batch)
     assert run.results["q"].groups == baseline.results["q"].groups
@@ -335,8 +335,6 @@ def test_auto_backend_runs_and_records_choice():
 def test_auto_backend_validation():
     with pytest.raises(PlanError, match="adaptive"):
         EngineConfig(backend="auto", adaptive=False).validate()
-    with pytest.raises(PlanError, match="process"):
-        EngineConfig(backend="auto", executor="process").validate()
 
 
 # ------------------------------------------------------- fingerprint hygiene
@@ -348,7 +346,7 @@ def test_strategy_never_enters_structural_fingerprints(monkeypatch):
     (the config itself, including ``adaptive``, does enter it)."""
     db, _fact, batch = _single_relation_setup(rows=64)
     engine = LMFAO(
-        db, EngineConfig(backend="numpy", executor="thread")
+        db, EngineConfig(backend="numpy")
     )
     monkeypatch.delenv(costmodel.FORCE_STRATEGY_ENV, raising=False)
     base = batch_fingerprint(batch, engine.tree, engine.config)[0]
@@ -357,7 +355,7 @@ def test_strategy_never_enters_structural_fingerprints(monkeypatch):
         assert batch_fingerprint(batch, engine.tree, engine.config)[0] == base
     adaptive_off = LMFAO(
         db,
-        EngineConfig(backend="numpy", executor="thread", adaptive=False),
+        EngineConfig(backend="numpy", adaptive=False),
     )
     assert (
         batch_fingerprint(batch, adaptive_off.tree, adaptive_off.config)[0]

@@ -121,14 +121,15 @@ def test_failing_group_propagates_from_parallel_scheduler(favorita_db, monkeypat
 
 
 def test_failing_prepare_propagates_from_parallel_scheduler(favorita_db, monkeypatch):
-    """Failures in the trie/partitioning stage propagate too."""
+    """Failures in the group-preparation stage (backend choice and
+    partitioning) propagate too."""
     def boom(*args, **kwargs):
         raise ValueError("injected prepare failure")
 
     engine = LMFAO(
         favorita_db, EngineConfig(join_tree_edges=FAVORITA_TREE, workers=2)
     )
-    monkeypatch.setattr(engine, "_trie", boom)
+    monkeypatch.setattr(engine, "_prepare_group", boom)
     with pytest.raises(ValueError, match="injected prepare failure"):
         engine.run(example_queries())
 

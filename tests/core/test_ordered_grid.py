@@ -5,9 +5,9 @@ instance (adversarial tie distributions, ``k ∈ {0, 1, small, > group}``,
 empty partitions — see :func:`tests.strategies.ordered_instances`), the
 engine's finished results must match :func:`tests.oracle.ordered_oracle`
 **as a sequence** — same rows, same rank order, same tie order — and
-every point of the execution grid ``{python, numpy, c} × {thread,
-process} × partitions × {heap, sort}`` must be bit-identical to the
-sequential Python baseline. Integer-valued data makes float64 exact, so
+every point of the execution grid ``{python, numpy, c} × workers ×
+partitions × {heap, sort}`` must be bit-identical to the sequential
+Python baseline. Integer-valued data makes float64 exact, so
 any divergence is a real kernel or merge bug, never numeric noise.
 """
 
@@ -186,37 +186,6 @@ def _star_instance(n=3000, seed=13):
         ]
     )
     return db, batch
-
-
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_ordered_process_executor_bit_exact(backend):
-    """The multiprocess executor point of the ordered grid."""
-    db, batch = _star_instance()
-    baseline = LMFAO(
-        db, EngineConfig(workers=1, partitions=1, parallel_threshold=0)
-    ).run(batch)
-    join = db.materialize_join()
-    for query in batch:
-        if query.is_ordered:
-            assert_ordered_equal(
-                baseline.results[query.name], ordered_oracle(join, query)
-            )
-    engine = LMFAO(
-        db,
-        EngineConfig(
-            backend=backend,
-            executor="process",
-            workers=3,
-            partitions=4,
-            parallel_threshold=0,
-        ),
-    )
-    try:
-        run = engine.run(batch)
-        for name, expected in baseline.results.items():
-            assert _ranked_or_bag(run.results[name]) == _ranked_or_bag(expected)
-    finally:
-        engine.close()
 
 
 def test_ordered_decisions_consistent_under_debug(monkeypatch):

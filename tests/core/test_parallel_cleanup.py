@@ -41,9 +41,7 @@ def _raise(_values: np.ndarray) -> np.ndarray:
 def _parallel_config() -> EngineConfig:
     # pinned: the CI legs rewrite EngineConfig defaults, and this file
     # specifically targets the thread scheduler's cleanup path.
-    return EngineConfig(
-        workers=4, partitions=4, parallel_threshold=0, executor="thread"
-    )
+    return EngineConfig(workers=4, partitions=4, parallel_threshold=0)
 
 
 def test_parallel_failure_propagates_without_hanging():

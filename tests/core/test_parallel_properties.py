@@ -22,15 +22,6 @@ natively on the NumPy backend instead of falling back per group:
 ``carried_instances`` guarantees a cross-node group-by (hence a carried
 block) in every generated batch, and the carried grid test asserts no
 silent fallback happened.
-
-The multiprocess executor extends the matrix along a second axis:
-``{thread, process} × {python, numpy, c} × partitions``. The process
-points run trie partitions in worker processes over shared-memory
-segments (:mod:`repro.core.mpexec`) with local-combine-then-tree-reduce
-merging — and must still be bit-identical to the sequential Python
-baseline, including carried-heavy plans, empty relations and partition
-counts exceeding the level-0 run count. Process engines are always
-closed so the session-wide shared-memory leak fixture stays green.
 """
 
 from __future__ import annotations
@@ -177,7 +168,7 @@ def _forced_strategy_grid_bit_exact(instance) -> None:
             for backend in backends:
                 config = EngineConfig(
                     backend=backend, workers=1, partitions=1,
-                    parallel_threshold=0, executor="thread",
+                    parallel_threshold=0,
                 )
                 runner = LMFAO(instance.db, config)
                 compiled = runner.compile(instance.batch)
@@ -236,143 +227,12 @@ def test_forced_strategy_edge_geometries():
                     db,
                     EngineConfig(
                         backend="numpy", workers=1, partitions=4,
-                        parallel_threshold=0, executor="thread",
+                        parallel_threshold=0,
                     ),
                 ).run(batch)
             assert run.results["q"].groups == base.results["q"].groups, (
                 f"forced {strategy}: k={k!r} g={g!r}"
             )
-
-
-# ---------------------------------------------------------- process executor
-
-_PROCESS_PARTITIONS = (2, 5)
-
-
-def _process_grid_matches_sequential_python(instance, backend: str) -> None:
-    """Every ``executor="process"`` grid point vs the sequential oracle.
-
-    One 2-worker pool per instance (spawning processes per point would
-    dominate the test); the partition axis varies per execute, which is
-    how the engine reads it. The engine is closed afterwards so worker
-    pools and shared-memory segments never outlive the example.
-    """
-    try:
-        engine = LMFAO(
-            instance.db,
-            EngineConfig(workers=1, partitions=1, parallel_threshold=0),
-        )
-    except CyclicSchemaError:
-        pytest.skip("generated schema had a disconnected join graph")
-    baseline = engine.execute(engine.compile(instance.batch))
-
-    config = EngineConfig(
-        backend=backend, executor="process", workers=2, partitions=2,
-        parallel_threshold=0,
-    )
-    runner = LMFAO(instance.db, config)
-    try:
-        compiled = runner.compile(instance.batch)
-        for partitions in _PROCESS_PARTITIONS:
-            runner.config = replace(config, partitions=partitions)
-            run = runner.execute(compiled)
-            for name, expected in baseline.results.items():
-                got = run.results[name]
-                assert got.groups == expected.groups, (
-                    f"{backend} backend, executor=process, workers=2, "
-                    f"partitions={partitions}: {name} diverged from the "
-                    f"sequential Python baseline"
-                )
-    finally:
-        runner.close()
-
-
-@given(instance=instances())
-@settings(max_examples=6, **_SETTINGS)
-def test_process_python_grid_bit_exact(instance):
-    _process_grid_matches_sequential_python(instance, "python")
-
-
-@given(instance=instances())
-@settings(max_examples=4, **_SETTINGS)
-def test_process_numpy_grid_bit_exact(instance):
-    _process_grid_matches_sequential_python(instance, "numpy")
-
-
-@pytest.mark.skipif(not gcc_available(), reason="gcc not on PATH")
-@given(instance=instances())
-@settings(max_examples=3, **_SETTINGS)
-def test_process_c_grid_bit_exact(instance):
-    """Workers recompile the C groups locally (per-process warm-up)."""
-    _process_grid_matches_sequential_python(instance, "c")
-
-
-@given(instance=carried_instances())
-@settings(max_examples=3, **_SETTINGS)
-def test_process_numpy_grid_bit_exact_carried(instance):
-    """Carried-heavy plans through the multiprocess merge, natively."""
-    _process_grid_matches_sequential_python(instance, "numpy")
-
-
-def test_process_grid_covers_empty_and_unsplittable():
-    """Corner geometry under the process executor: an empty relation and a
-    single-run level 0 both take the in-process fallback (nothing to
-    ship), partition counts beyond the run count clamp — all bit-exact."""
-    from repro.data import Attribute, Database, Relation, RelationSchema
-    from repro.query import Aggregate, Query, QueryBatch
-
-    C = Attribute.categorical
-    batch = QueryBatch(
-        [Query("q", group_by=("g",), aggregates=(Aggregate.count(),))]
-    )
-    for k, g in (
-        ([], []),                       # empty relation
-        ([1] * 9, [0, 1, 2] * 3),       # single level-0 run
-        ([1, 1, 2, 2, 3, 3], [0, 1] * 3),  # 3 runs < 5 partitions
-    ):
-        fact = Relation(RelationSchema("A", (C("k"), C("g"))), {"k": k, "g": g})
-        dim = Relation(
-            RelationSchema("B", (C("k"), C("w"))),
-            {"k": [1, 2, 3], "w": [5, 6, 7]},
-        )
-        db = Database([fact, dim])
-        base = LMFAO(db, EngineConfig(workers=1, partitions=1)).run(batch)
-        with LMFAO(
-            db,
-            EngineConfig(
-                executor="process", workers=4, partitions=5,
-                parallel_threshold=0,
-            ),
-        ) as runner:
-            run = runner.run(batch)
-        assert run.results["q"].groups == base.results["q"].groups
-
-
-def test_process_executor_actually_ships_partitions():
-    """A splittable trie under ``executor="process"`` really exports a
-    shared-memory segment (the offload is not silently falling back)."""
-    from repro.data import Attribute, Database, Relation, RelationSchema
-    from repro.query import Aggregate, Query, QueryBatch
-
-    C = Attribute.categorical
-    fact = Relation(
-        RelationSchema("A", (C("k"), C("g"))),
-        {"k": [0, 0, 1, 1, 2, 2, 3, 3], "g": [0, 1] * 4},
-    )
-    db = Database([fact])
-    batch = QueryBatch(
-        [Query("q", group_by=("g",), aggregates=(Aggregate.count(),))]
-    )
-    with LMFAO(
-        db,
-        EngineConfig(
-            executor="process", workers=2, partitions=2, parallel_threshold=0
-        ),
-    ) as runner:
-        base = LMFAO(db, EngineConfig()).run(batch)
-        run = runner.run(batch)
-        assert run.results["q"].groups == base.results["q"].groups
-        assert runner._process_executor().segment_names()
 
 
 def test_grid_covers_single_run_level0():

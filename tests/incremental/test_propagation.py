@@ -204,7 +204,7 @@ def test_refreshed_results_keep_full_finish_order(favorita_db):
         handle.apply(inserts={"Sales": _fresh_sales(rng, sales, 6)})
         raw = handle._state.query_raw
         for query in batch:
-            full = _to_query_result(query, raw[query.name]).groups
+            full = _to_query_result(query, raw[query.name])[0].groups
             assert list(handle.results[query.name].groups.items()) == list(full.items())
 
 

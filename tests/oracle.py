@@ -91,7 +91,7 @@ def assert_ordered_equal(
 
     Tie order is part of the contract — two results that contain the
     same rows but interleave ties differently fail here, which is what
-    makes the cross-backend / cross-executor / incremental grids assert
+    makes the cross-backend / parallel / incremental grids assert
     bit-exact determinism rather than mere set agreement.
     """
     actual_keys = list(actual.groups)

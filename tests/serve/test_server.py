@@ -207,32 +207,15 @@ def test_apply_advances_version_and_pinned_runs_stay_isolated(favorita_db):
         assert server.apply(inserts={"Sales": []}) == len(rounds)
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_concurrent_runs_during_apply_never_see_torn_state(favorita_db, executor):
+def test_concurrent_runs_during_apply_never_see_torn_state(favorita_db):
     """The regression the snapshot layer exists for: readers hammer run()
     while a maintained writer applies deltas; every result must equal the
-    sequential oracle of the exact version it reports having pinned.
-
-    The ``process`` variant additionally proves the shared-memory segment
-    lifecycle: an ``apply`` installing a successor version mid-run must
-    never unlink a segment a pinned run's worker still maps — Favorita's
-    ``units`` are integer-valued, so the multiprocess tree-reduce merge is
-    bit-identical to the sequential oracle, and any torn mapping would
-    show up as a divergent (or crashed) read."""
-    if executor == "process":
-        config = EngineConfig(
-            join_tree_edges=FAVORITA_TREE, executor="process",
-            workers=2, partitions=2, parallel_threshold=0,
-        )
-        oracle_config = EngineConfig(
-            join_tree_edges=FAVORITA_TREE, workers=1, partitions=1
-        )
-    else:
-        config = oracle_config = EngineConfig(join_tree_edges=FAVORITA_TREE)
+    sequential oracle of the exact version it reports having pinned."""
+    config = EngineConfig(join_tree_edges=FAVORITA_TREE)
     batch = _batch()
     sales = favorita_db.relation("Sales")
     rounds = [({"Sales": [sales.row(i), sales.row(i + 1)]}, None) for i in range(6)]
-    oracles = _replay_oracles(favorita_db, batch, rounds, oracle_config)
+    oracles = _replay_oracles(favorita_db, batch, rounds, config)
 
     with AggregateServer(favorita_db, config) as server:
         handle = server.maintain(batch)

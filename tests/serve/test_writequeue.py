@@ -274,28 +274,14 @@ def _final_oracle(db, batch, rounds, config):
     return current, _groups(LMFAO(current, config).run(batch))
 
 
-def _configs():
-    return {
-        "thread": EngineConfig(join_tree_edges=FAVORITA_TREE),
-        "process": EngineConfig(
-            join_tree_edges=FAVORITA_TREE,
-            executor="process",
-            workers=2,
-            partitions=2,
-            parallel_threshold=0,
-        ),
-    }
-
-
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_grouped_commits_bit_exact_vs_sequential_oracle(favorita_db, executor):
+def test_grouped_commits_bit_exact_vs_sequential_oracle(favorita_db):
     """Force real grouping, then compare against one-delta-at-a-time replay.
 
     Favorita's units are integer-valued, so every SUM/COUNT is exact in
     float64 and "bit-exact" is well-defined regardless of how writes
     were grouped.
     """
-    config = _configs()[executor]
+    config = EngineConfig(join_tree_edges=FAVORITA_TREE)
     batch = _batch()
     sales = favorita_db.relation("Sales")
     rounds = [
@@ -421,24 +407,25 @@ def test_commit_fault_leaves_server_on_last_good_version(favorita_db):
         assert server.stats().writes.failed_writes == 2
 
 
-def test_reader_pin_keeps_version_and_segments_until_release(favorita_db):
-    config = _configs()["process"]
+def test_reader_pin_keeps_version_until_release(favorita_db):
+    config = EngineConfig(join_tree_edges=FAVORITA_TREE)
     sales = favorita_db.relation("Sales")
-    with AggregateServer(favorita_db, config) as server:
-        server.run(_batch())  # exports version-0 trie segments
-        executor = server.engine._process_executor()
-        assert 0 in {key[0] for key in executor._segments}
+    with AggregateServer(
+        favorita_db, config, view_cache_bytes=32 * 1024 * 1024
+    ) as server:
+        server.run(_batch())  # publishes version-0 views
+        assert server.view_cache.entries_at(0)
         pinned = server.engine.pin_snapshot()
         for i in range(3):
             server.apply(inserts={"Sales": [sales.row(i)]})
         # v0 survives GC for the pinned reader; v1 and v2 were collected
         assert server.engine._snapshots.retained_versions() == [0, 3]
-        assert 0 in {key[0] for key in executor._segments}
+        assert server.view_cache.entries_at(0)
         assert server.stats().live_snapshots == 2
         server.engine.release_snapshot(pinned.version)
         assert server.engine._snapshots.retained_versions() == [3]
-        # the reclaim hook dropped the dead version's shared-memory segments
-        assert 0 not in {key[0] for key in executor._segments}
+        # the reclaim hook dropped the dead version's cached views
+        assert not server.view_cache.entries_at(0)
         assert server.stats().live_snapshots == 1
 
 
